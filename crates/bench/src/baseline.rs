@@ -12,11 +12,8 @@
 //! [`BaselineStore::compare`] checks a current run against the stored
 //! baseline with direction-aware per-metric tolerances: cycle-like
 //! metrics regress when they grow past `(1 + REL_TOLERANCE) × baseline`,
-//! hit-rate-like metrics (name containing `hit_rate`) regress when they
-//! fall more than [`HIT_RATE_TOLERANCE`] below the baseline, and
-//! cycle-win metrics (name containing `win`, e.g. the pipelined
-//! schedule's saved cycles) regress when they fall below
-//! `(1 - REL_TOLERANCE) × baseline`. The
+//! and hit-rate-like metrics (name containing `hit_rate`) regress when
+//! they fall more than [`HIT_RATE_TOLERANCE`] below the baseline. The
 //! `serving` binary's `--check-baseline` exits non-zero on any
 //! regression.
 
@@ -182,9 +179,7 @@ impl BaselineStore {
     /// **both** stores are compared (a new metric cannot regress; a
     /// deleted one is a review question, not a gate). Direction is
     /// per-metric: names containing `hit_rate` must not fall more than
-    /// [`HIT_RATE_TOLERANCE`] below baseline; names containing `win`
-    /// (cycle savings, where bigger is better) must not fall below
-    /// `(1 - REL_TOLERANCE) × baseline`; everything else must not
+    /// [`HIT_RATE_TOLERANCE`] below baseline; everything else must not
     /// grow past `(1 + REL_TOLERANCE) × baseline`.
     pub fn compare(&self, current: &BaselineStore) -> BaselineCheckReport {
         let mut regressions = Vec::new();
@@ -205,16 +200,6 @@ impl BaselineStore {
             compared += 1;
             if name.contains("hit_rate") {
                 let limit = baseline - HIT_RATE_TOLERANCE;
-                if observed < limit {
-                    regressions.push(MetricRegression {
-                        metric: name,
-                        baseline,
-                        current: observed,
-                        limit,
-                    });
-                }
-            } else if name.contains("win") {
-                let limit = baseline * (1.0 - REL_TOLERANCE);
                 if observed < limit {
                     regressions.push(MetricRegression {
                         metric: name,
@@ -326,7 +311,7 @@ impl BaselineStore {
     /// with a checksum trailer, keeping the previous generation at
     /// `<path>.bak` (see [`sme_runtime::save_snapshot`]).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), BaselineError> {
-        sme_runtime::save_snapshot(path.as_ref(), &self.to_json())?;
+        sme_runtime::save_snapshot(path.as_ref(), &self.to_json(), None)?;
         Ok(())
     }
 
@@ -334,7 +319,7 @@ impl BaselineStore {
     /// present; trailer-less legacy documents (including the committed
     /// `BENCH_baseline.json`) still load.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, BaselineError> {
-        match sme_runtime::read_snapshot(path.as_ref()) {
+        match sme_runtime::read_snapshot(path.as_ref(), None) {
             Ok(text) => BaselineStore::from_json(&text),
             Err(sme_runtime::SnapshotError::Io(e)) => Err(BaselineError::Io(e)),
             Err(sme_runtime::SnapshotError::Corrupt(msg)) => Err(BaselineError::Format(msg)),
@@ -486,23 +471,6 @@ mod tests {
         let report = baseline.compare(&cold);
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].metric, "serving_restart_hit_rate");
-
-        // Cycle wins are relative floors: a shrinking win regresses, a
-        // growing one passes.
-        let mut with_win = baseline.clone();
-        with_win.set_metric("serving_pipeline_cycle_win_total", 100.0);
-        let mut smaller_win = with_win.clone();
-        smaller_win.set_metric("serving_pipeline_cycle_win_total", 80.0);
-        let report = with_win.compare(&smaller_win);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(
-            report.regressions[0].metric,
-            "serving_pipeline_cycle_win_total"
-        );
-        assert_eq!(report.regressions[0].limit, 90.0);
-        let mut bigger_win = with_win.clone();
-        bigger_win.set_metric("serving_pipeline_cycle_win_total", 150.0);
-        assert!(with_win.compare(&bigger_win).passed());
 
         // Per-shape cycles are ceilings too, reported with the prefix.
         let mut shape_slow = baseline.clone();

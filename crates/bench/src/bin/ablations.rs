@@ -1,6 +1,6 @@
 //! Ablation study of the generator's design choices called out in DESIGN.md:
-//! register-blocking strategy, ZA transfer strategy, contraction-loop
-//! unrolling and the cost of the in-kernel B transposition.
+//! register-blocking strategy, ZA transfer strategy and the cost of the
+//! in-kernel B transposition.
 
 use sme_bench::SweepOptions;
 use sme_gemm::{
@@ -42,15 +42,6 @@ fn main() {
         "  direct (ldr/str za)          : {:7.0}",
         gflops(&base.with_c_transfer(ZaTransferStrategy::Direct))
     );
-
-    println!("\n-- contraction-loop unrolling (M = N = 64) --");
-    for unroll in [1usize, 2, 4] {
-        let cfg = GemmConfig::abt(64, 64, k).with_k_unroll(unroll);
-        println!(
-            "  k_unroll = {unroll}                 : {:7.0}",
-            gflops(&cfg)
-        );
-    }
 
     println!("\n-- B layout: direct outer products vs in-kernel transposition --");
     for mn in [64usize, 128, 256] {

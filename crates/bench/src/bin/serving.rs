@@ -124,9 +124,9 @@ fn main() {
             // through the verifying loader: a postmortem torn by the dying
             // process it describes is worse than none.
             let target = std::path::Path::new(path);
-            match sme_runtime::save_snapshot(target, &bundle.render_pretty())
+            match sme_runtime::save_snapshot(target, &bundle.render_pretty(), None)
                 .map_err(|e| e.to_string())
-                .and_then(|()| sme_runtime::read_snapshot(target).map_err(|e| e.to_string()))
+                .and_then(|()| sme_runtime::read_snapshot(target, None).map_err(|e| e.to_string()))
                 .and_then(|text| {
                     serde_json::from_str(&text)
                         .map(|_| ())

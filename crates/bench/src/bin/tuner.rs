@@ -1,5 +1,5 @@
-//! Autotuning sweep: for each shape, enumerate the candidate block plans,
-//! ZA-transfer strategies and unroll factors, score them on the timing
+//! Autotuning sweep: for each shape, enumerate the candidate block plans
+//! and ZA-transfer strategies on both backends, score them on the timing
 //! model, and report the winner against the default heterogeneous kernel.
 //!
 //! `--store PATH` persists the winners as a plan-store JSON document that
@@ -25,7 +25,7 @@ fn main() {
         if opts.quick {
             " (plan kinds only)"
         } else {
-            " (plans x transfers x unrolls)"
+            " (plans x transfers)"
         }
     );
     let mut store = PlanStore::for_machine(&MachineConfig::apple_m4());

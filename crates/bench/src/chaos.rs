@@ -30,7 +30,7 @@
 use serde::Serialize;
 use sme_gemm::{AnyGemmConfig, Backend};
 use sme_router::{PretuneDaemon, PretuneDaemonConfig, Router};
-use sme_runtime::fault::{clear_injector, install_injector, FaultKind, FaultPlan};
+use sme_runtime::fault::{FaultKind, FaultPlan};
 use sme_runtime::{GemmRequest, GemmService, SnapshotSource};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -183,10 +183,9 @@ fn chaos_dispatch(
 }
 
 /// Drive the serving trace under the seeded chaos schedule (see the module
-/// docs), persisting daemon state into `dir`. Installs the process-wide
-/// fault injector for the duration of the run and always clears it again,
-/// so one chaos run per process is the supported shape (the `serving`
-/// binary and the chaos integration test each own their process).
+/// docs), persisting daemon state into `dir`. The fault plan is attached
+/// to this run's routers and daemon only, so other work in the process
+/// never sees its faults.
 pub fn chaos_run(opts: &ServingTraceOptions, dir: &Path) -> Result<ChaosRun, String> {
     let plan = Arc::new(FaultPlan::chaos(opts.chaos_seed));
     // Injected group panics are expected and caught; keep their backtrace
@@ -203,9 +202,7 @@ pub fn chaos_run(opts: &ServingTraceOptions, dir: &Path) -> Result<ChaosRun, Str
             previous_hook(info);
         }
     }));
-    install_injector(plan.clone());
     let result = chaos_run_inner(opts, dir, &plan);
-    clear_injector();
     // Drop the filtering hook (this reinstates the default hook; the saved
     // previous hook lived inside the filter and is released with it).
     let _ = std::panic::take_hook();
@@ -223,17 +220,19 @@ pub fn chaos_run(opts: &ServingTraceOptions, dir: &Path) -> Result<ChaosRun, Str
 fn chaos_run_inner(
     opts: &ServingTraceOptions,
     dir: &Path,
-    plan: &FaultPlan,
+    plan: &Arc<FaultPlan>,
 ) -> Result<(ChaosRun, Vec<Observed>), String> {
     let yesterday = crate::serving_yesterday_shapes();
     let today = crate::serving_today_shapes();
     let mut config = PretuneDaemonConfig::in_dir(dir);
     config.top_n = yesterday.len() + today.len();
     let daemon = PretuneDaemon::new(config);
+    daemon.attach_faults(plan.clone());
 
     let hub = sme_obs::ObsHub::shared(opts.trace_capacity);
     let router = Router::new(256);
     router.attach_obs(hub.clone());
+    router.cache().attach_faults(plan.clone());
     daemon
         .restore(&router)
         .map_err(|e| format!("restore: {e}"))?;
@@ -282,6 +281,7 @@ fn chaos_run_inner(
     // still be served entirely from warm cache.
     let restarted = Router::new(256);
     restarted.attach_obs(hub.clone());
+    restarted.cache().attach_faults(plan.clone());
     let restore = daemon
         .restore(&restarted)
         .map_err(|e| format!("restore after restart: {e}"))?;
@@ -347,16 +347,16 @@ fn source_name(source: SnapshotSource) -> String {
 
 /// Re-dispatch every distinct `(config, seed, backend)` the chaos run
 /// served through a fresh, fault-free service and require every observed
-/// output to match the clean reference **bit-for-bit**. Runs after the
-/// injector is cleared: same simulator, same operands, same backend —
-/// exact equality is the contract, not a tolerance.
+/// output to match the clean reference **bit-for-bit**: same simulator,
+/// same operands, same backend — exact equality is the contract, not a
+/// tolerance.
 fn verify_bit_correct(report: &mut ChaosReport, observed: &[Observed]) {
     let service = GemmService::new(64);
     let mut reference: HashMap<(AnyGemmConfig, u64, Backend), Vec<f32>> = HashMap::new();
     let mut mismatched = 0;
     for entry in observed {
         let key = (entry.request.config, entry.request.seed, entry.backend);
-        if !reference.contains_key(&key) {
+        let clean = reference.entry(key).or_insert_with(|| {
             let clean = service
                 .dispatch_routed(std::slice::from_ref(&entry.request), |_| entry.backend)
                 .expect("chaos shapes are valid");
@@ -365,9 +365,9 @@ fn verify_bit_correct(report: &mut ChaosReport, observed: &[Observed]) {
                 "the clean reference dispatch cannot fail: {:?}",
                 clean.failures
             );
-            reference.insert(key, clean.outputs[0].clone());
-        }
-        if reference[&key] != entry.output {
+            clean.outputs[0].clone()
+        });
+        if *clean != entry.output {
             mismatched += 1;
         }
     }

@@ -323,8 +323,6 @@ pub struct TunerSweepPoint {
     pub winner: String,
     /// Winning ZA transfer strategy.
     pub c_transfer: sme_gemm::ZaTransferStrategy,
-    /// Winning unroll factor.
-    pub k_unroll: usize,
     /// Candidates generated and simulated for this shape.
     pub candidates: usize,
 }
@@ -389,7 +387,6 @@ pub fn tuner_sweep(opts: &TunerSweepOptions, store: &mut sme_runtime::PlanStore)
             tuned_cycles: outcome.tuned_cycles,
             winner: outcome.winner.kind.name().to_string(),
             c_transfer: outcome.winner.c_transfer,
-            k_unroll: outcome.winner.k_unroll,
             candidates: outcome.candidates_tried,
         });
     }
@@ -405,8 +402,8 @@ pub fn render_tuner_sweep(sweep: &TunerSweep) -> String {
     for p in &sweep.points {
         let speedup = p.default_cycles / p.tuned_cycles.max(f64::MIN_POSITIVE);
         out.push_str(&format!(
-            "{:5} | {:11.0} | {:11.0} | {:6.3}x | {} ({:?}, unroll {})\n",
-            p.mn, p.default_cycles, p.tuned_cycles, speedup, p.winner, p.c_transfer, p.k_unroll
+            "{:5} | {:11.0} | {:11.0} | {:6.3}x | {} ({:?})\n",
+            p.mn, p.default_cycles, p.tuned_cycles, speedup, p.winner, p.c_transfer
         ));
     }
     out.push_str(&format!(
@@ -1095,34 +1092,6 @@ pub struct ServingTrace {
     /// processes), so with repeated weights this approaches 1.0 as the
     /// trace lengthens.
     pub pack_hit_rate: f64,
-    /// Tuned serial-vs-pipelined simulated cycles for each FP32 serving
-    /// shape — the per-shape evidence behind the pipelined schedule's
-    /// cycle win, ratcheted by the baseline check.
-    pub pipeline_wins: Vec<ServingPipelineWin>,
-}
-
-/// Tuned serial-vs-pipelined simulated cycles of one FP32 serving shape.
-///
-/// Both numbers come from the same tuner sweep except for the schedule
-/// dimension, so `pipelined_cycles <= serial_cycles` always holds (the
-/// pipelined sweep is a superset) and a strict gap is a genuine win of
-/// the software-pipelined schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingPipelineWin {
-    /// Display form of the shape.
-    pub shape: String,
-    /// Tuned cycles with the schedule sweep disabled (serial only).
-    pub serial_cycles: f64,
-    /// Tuned cycles with the full sweep including pipelined schedules.
-    pub pipelined_cycles: f64,
-}
-
-impl ServingPipelineWin {
-    /// Simulated cycles the pipelined schedule saves over the best serial
-    /// plan (0 when the tuner kept the serial schedule).
-    pub fn win_cycles(&self) -> f64 {
-        (self.serial_cycles - self.pipelined_cycles).max(0.0)
-    }
 }
 
 impl ServingTrace {
@@ -1213,31 +1182,6 @@ fn serving_dispatch(
         },
         pack_hit_rate: report.batch.pack_hit_ratio(),
     }
-}
-
-/// Tune each FP32 serving shape twice — once with the schedule sweep off,
-/// once with the full sweep — so the trace carries the pipelined
-/// schedule's per-shape simulated-cycle win.
-fn serving_pipeline_wins() -> Vec<ServingPipelineWin> {
-    let serial = sme_runtime::TunerOptions {
-        sweep_schedule: false,
-        ..Default::default()
-    };
-    let full = sme_runtime::TunerOptions::default();
-    serving_yesterday_shapes()
-        .iter()
-        .chain(serving_today_shapes().iter())
-        .filter(|cfg| matches!(cfg, sme_gemm::AnyGemmConfig::Fp32(_)))
-        .filter_map(|cfg| {
-            let s = sme_runtime::tune_any(cfg, &serial).ok()?;
-            let p = sme_runtime::tune_any(cfg, &full).ok()?;
-            Some(ServingPipelineWin {
-                shape: cfg.to_string(),
-                serial_cycles: s.tuned_cycles,
-                pipelined_cycles: p.tuned_cycles,
-            })
-        })
-        .collect()
 }
 
 /// A completed serving run: the trace plus everything the flight recorder
@@ -1449,7 +1393,6 @@ pub fn serving_run(
             shift_followed,
             restart_hit_rate,
             pack_hit_rate,
-            pipeline_wins: serving_pipeline_wins(),
         },
         hub,
         breaches,
@@ -1477,10 +1420,6 @@ pub fn serving_baseline(trace: &ServingTrace) -> BaselineStore {
     }
     store.set_metric("serving_restart_hit_rate", trace.restart_hit_rate);
     store.set_metric("serving_pack_hit_rate", trace.pack_hit_rate);
-    store.set_metric(
-        "serving_pipeline_cycle_win_total",
-        trace.pipeline_wins.iter().map(|w| w.win_cycles()).sum(),
-    );
 
     let cache = sme_runtime::KernelCache::new(64);
     for cfg in serving_yesterday_shapes()
@@ -1517,15 +1456,6 @@ pub fn render_serving_trace(trace: &ServingTrace) -> String {
         100.0 * trace.restart_hit_rate,
         100.0 * trace.pack_hit_rate
     ));
-    for w in &trace.pipeline_wins {
-        out.push_str(&format!(
-            "pipelined {}: serial {:.0} -> pipelined {:.0} cycles (win {:.0})\n",
-            w.shape,
-            w.serial_cycles,
-            w.pipelined_cycles,
-            w.win_cycles()
-        ));
-    }
     out
 }
 

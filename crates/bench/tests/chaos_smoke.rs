@@ -1,11 +1,6 @@
 //! End-to-end chaos smoke: the CI serving trace under the seeded fault
-//! schedule, asserted in-process.
-//!
-//! This test deliberately lives alone in its own integration-test binary:
-//! the fault injector is process-global, so nothing else in the same
-//! process may dispatch through `GemmService` while the schedule is
-//! armed. Keep it that way — a second `#[test]` here would race the
-//! occurrence counters and turn the schedule nondeterministic.
+//! schedule, asserted in-process. The schedule is attached to the run's
+//! own routers and daemon, so other work in the process never sees it.
 
 use sme_bench::{chaos_run, ServingTraceOptions};
 

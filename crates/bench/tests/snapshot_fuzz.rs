@@ -1,5 +1,5 @@
 //! Crash-safety fuzz for every snapshot loader in the workspace: the plan
-//! store (document versions 1–4), the telemetry snapshot, the perf
+//! store, the telemetry snapshot, the perf
 //! baseline, and the postmortem bundle. Random truncation, bit flips,
 //! spliced garbage and outright non-JSON bytes must surface as `Err` (or a
 //! recovered/empty store) — never as a panic. A corrupt file on disk may
@@ -8,33 +8,34 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sme_bench::BaselineStore;
-use sme_gemm::{Backend, GemmConfig};
+use sme_gemm::{
+    Backend, GemmConfig, PlanCandidate, PlanKind, RegisterBlocking, WideningGemmConfig,
+};
 use sme_machine::MachineConfig;
 use sme_router::TelemetryRegistry;
-use sme_runtime::PlanStore;
+use sme_runtime::{PlanStore, TunedRecord};
 use std::path::PathBuf;
 
-/// Hand-written documents for the three legacy plan-store formats (v1 has
-/// no backend field, v2 no dtype, v3 no schedule), plus the current v4
-/// produced by round-tripping v2 through the store itself.
-fn plan_docs() -> Vec<String> {
-    let v1 = r#"{"version": 1, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-        "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-        "plan": "Homogeneous16x64", "c_transfer": "Direct",
-        "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
-    let v2 = r#"{"version": 2, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-        "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-        "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",
-        "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
-    let v3 = r#"{"version": 3, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-        "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-        "dtype": "Fp32", "backend": "Sme", "plan": "Homogeneous16x64",
-        "c_transfer": "Direct", "k_unroll": 2, "tuned_cycles": 100,
-        "default_cycles": 150}]}"#;
-    let v4 = PlanStore::from_json(v2)
-        .expect("v2 fixture parses")
-        .to_json();
-    vec![v1.to_string(), v2.to_string(), v3.to_string(), v4]
+/// A stamped plan store holding an FP32 and a widening winner.
+fn plan_doc() -> String {
+    let mut store = PlanStore::for_machine(&MachineConfig::apple_m4());
+    let record = |kind| TunedRecord {
+        candidate: PlanCandidate {
+            kind,
+            ..PlanCandidate::default_for(&GemmConfig::abt(48, 48, 16))
+        },
+        tuned_cycles: 100.0,
+        default_cycles: 150.0,
+    };
+    store.insert(
+        &GemmConfig::abt(48, 48, 16),
+        record(PlanKind::Homogeneous(RegisterBlocking::B16x64)),
+    );
+    store.insert_any(
+        &WideningGemmConfig::new(32, 32, 8).unwrap().into(),
+        record(PlanKind::Homogeneous(RegisterBlocking::B32x32)),
+    );
+    store.to_json()
 }
 
 fn telemetry_doc() -> String {
@@ -122,9 +123,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn plan_store_loaders_never_panic(pick in 0usize..4, damage in damage_strategy()) {
-        let docs = plan_docs();
-        let bytes = apply(&docs[pick], &damage);
+    fn plan_store_loaders_never_panic(damage in damage_strategy()) {
+        let bytes = apply(&plan_doc(), &damage);
         let path = write_damaged("plans.json", &bytes);
         let machine = MachineConfig::apple_m4();
         let _ = PlanStore::load(&path);
@@ -159,7 +159,7 @@ proptest! {
         // The postmortem "loader" is the verifying snapshot reader plus a
         // JSON parse — the same pair the serving binary runs after writing
         // a bundle.
-        if let Ok(text) = sme_runtime::read_snapshot(&path) {
+        if let Ok(text) = sme_runtime::read_snapshot(&path, None) {
             let _ = serde_json::from_str(&text);
         }
     }

@@ -8,7 +8,7 @@
 //! homogeneous blocking — the Fig. 7 example needs seven heterogeneous
 //! executions instead of nine to ten homogeneous ones.
 
-use crate::config::{BLayout, Backend, GemmConfig, KernelSchedule, ZaTransferStrategy};
+use crate::config::{BLayout, Backend, GemmConfig, ZaTransferStrategy};
 use serde::{Deserialize, Serialize};
 
 /// Width/height of one ZA tile in FP32 elements on an SVL-512 machine.
@@ -384,11 +384,11 @@ impl PlanKind {
 }
 
 /// One autotuning candidate: the execution backend, a block-plan shape and
-/// the code-generation knobs the tuner may vary ([`ZaTransferStrategy`] and
-/// the contraction-loop unroll factor).
+/// the ZA transfer strategy — the paper's two code-generation choices
+/// (register blocking, Fig. 7; direct vs two-step ZA transfer, Figs. 2–5).
 ///
-/// The plan kind and knobs only steer SME code generation; a
-/// [`Backend::Neon`] candidate carries the configuration's own knob values
+/// The plan kind and transfer only steer SME code generation; a
+/// [`Backend::Neon`] candidate carries the configuration's own transfer
 /// (the Neon generator's 16×4 blocking is fixed), so exactly one Neon
 /// candidate exists per configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -399,23 +399,17 @@ pub struct PlanCandidate {
     pub kind: PlanKind,
     /// How C blocks move between memory and the ZA array (SME only).
     pub c_transfer: ZaTransferStrategy,
-    /// Contraction-loop unroll factor (1, 2 or 4; SME only).
-    pub k_unroll: usize,
-    /// Instruction schedule of the block sequence (SME only).
-    pub schedule: KernelSchedule,
 }
 
 impl PlanCandidate {
     /// The candidate the generator would use for `cfg` with no tuning: the
     /// SME backend with the layout's default plan kind and the
-    /// configuration's own knobs.
+    /// configuration's own transfer strategy.
     pub fn default_for(cfg: &GemmConfig) -> PlanCandidate {
         PlanCandidate {
             backend: Backend::Sme,
             kind: PlanKind::default_for(cfg),
             c_transfer: cfg.c_transfer,
-            k_unroll: cfg.k_unroll,
-            schedule: cfg.schedule,
         }
     }
 
@@ -429,28 +423,23 @@ impl PlanCandidate {
         })
     }
 
-    /// Rewrite `cfg` with this candidate's code-generation knobs (the plan
-    /// kind is applied separately, through the generator's plan override).
+    /// Rewrite `cfg` with this candidate's transfer strategy (the plan kind
+    /// is applied separately, through the generator's plan override).
     pub fn apply(&self, cfg: &GemmConfig) -> GemmConfig {
         cfg.with_c_transfer(self.c_transfer)
-            .with_k_unroll(self.k_unroll)
-            .with_schedule(self.schedule)
     }
 }
 
 /// Enumerate the tuning candidates for a configuration.
 ///
-/// The SME candidates are the cross product of plan kinds, ZA transfer
-/// strategies and unroll factors valid for `cfg`:
+/// The SME candidates are the cross product of the plan kinds valid for
+/// `cfg` and both ZA transfer strategies:
 ///
 /// * row-major B: the heterogeneous plan and all three homogeneous plans;
 /// * column-major B: only [`PlanKind::ColumnPanels`] — the in-kernel
 ///   transposition requires the panel-wise plan, and
 ///   [`crate::generate_with_plan`] rejects overrides for this layout;
-/// * both [`ZaTransferStrategy`] variants;
-/// * unroll factors from {1, 2, 4} that divide `k` (the generator falls
-///   back to unroll 1 for non-dividing factors, so enumerating them would
-///   only duplicate the unroll-1 candidate).
+/// * both [`ZaTransferStrategy`] variants.
 ///
 /// When the Neon generator supports `cfg`, the single [`Backend::Neon`]
 /// candidate is appended, so a tuner scoring this list compares across
@@ -472,56 +461,16 @@ pub fn enumerate_candidates(cfg: &GemmConfig) -> Vec<PlanCandidate> {
     let mut candidates = Vec::new();
     for &kind in &kinds {
         for &c_transfer in &transfers {
-            for k_unroll in [1usize, 2, 4] {
-                // Skip unrolls that do not divide k — the generator falls
-                // back to unroll 1 for those, so they would duplicate the
-                // unroll-1 candidate — but never drop the configuration's
-                // own setting (so the default candidate is always present).
-                if !cfg.k.is_multiple_of(k_unroll) && k_unroll != cfg.k_unroll {
-                    continue;
-                }
-                candidates.push(PlanCandidate {
-                    backend: Backend::Sme,
-                    kind,
-                    c_transfer,
-                    k_unroll,
-                    schedule: KernelSchedule::Serial,
-                });
-                // The pipelined schedule pairs with unroll 1 only: its
-                // rotated loop body already interleaves two contraction
-                // steps per trip.
-                if k_unroll == 1 && pipeline_supported(cfg) {
-                    candidates.push(PlanCandidate {
-                        backend: Backend::Sme,
-                        kind,
-                        c_transfer,
-                        k_unroll,
-                        schedule: KernelSchedule::Pipelined,
-                    });
-                }
-            }
+            candidates.push(PlanCandidate {
+                backend: Backend::Sme,
+                kind,
+                c_transfer,
+            });
         }
-    }
-    // A configuration may carry a schedule the support gate rejects (the
-    // generator falls back to serial emission for it); keep the default
-    // candidate present regardless, mirroring the unroll handling above.
-    let default = PlanCandidate::default_for(cfg);
-    if !candidates.contains(&default) {
-        candidates.insert(0, default);
     }
     candidates.extend(PlanCandidate::neon_for(cfg));
     debug_assert!(candidates.contains(&PlanCandidate::default_for(cfg)));
     candidates
-}
-
-/// `true` if the generator can emit the software-pipelined schedule for
-/// `cfg`: row-major B (the column-panel transpose path keeps its serial
-/// schedule) and an even contraction depth, which the rotated two-step
-/// loop body requires. The schedule additionally pairs with `k_unroll == 1`
-/// only; [`enumerate_candidates`] enumerates it under unroll 1 and
-/// [`crate::generate_with_plan`] falls back to serial emission elsewhere.
-pub fn pipeline_supported(cfg: &GemmConfig) -> bool {
-    cfg.b_layout == BLayout::RowMajor && cfg.k.is_multiple_of(2)
 }
 
 /// Analytic contraction-step cost of a plan, in performance-core cycles.
@@ -600,11 +549,11 @@ fn analytic_plan_step_cycles(
 /// block plan is **dominated** within their knob group.
 ///
 /// Timing-simulating a candidate costs orders of magnitude more than
-/// expanding its plan, and for a fixed ZA-transfer strategy and unroll
-/// factor the simulated cycle count grows with two quantities the plan
-/// determines analytically: the per-contraction-step issue cost
-/// ([`analytic_k_step_cycles`], covering loads-per-k-step weighted by the
-/// load strategy's bandwidth plus the FMOPA issue slots) and the number of
+/// expanding its plan, and for a fixed ZA-transfer strategy the simulated
+/// cycle count grows with two quantities the plan determines analytically:
+/// the per-contraction-step issue cost ([`analytic_k_step_cycles`],
+/// covering loads-per-k-step weighted by the load strategy's bandwidth plus
+/// the FMOPA issue slots) and the number of
 /// microkernel executions ([`BlockPlan::num_microkernels`], each paying the
 /// accumulator load/store and loop setup). A candidate that is no better
 /// than another same-knob candidate on *both* metrics and strictly worse on
@@ -655,21 +604,13 @@ pub(crate) fn prune_dominated_by(
             let Some((cost, microkernels)) = metrics[*i] else {
                 return true; // non-SME candidates have no plan to compare
             };
-            // Protect the default plan regardless of schedule: the analytic
-            // cost model is schedule-blind, so a schedule twin of the default
-            // must survive whenever the default does or the pre-filter would
-            // hide pipelined wins from the timing sweep.
-            let mut normalized = **c;
-            normalized.schedule = default.schedule;
-            if normalized == default {
+            if **c == default {
                 return true;
             }
             !candidates.iter().enumerate().any(|(j, other)| {
                 j != *i
                     && other.backend == Backend::Sme
                     && other.c_transfer == c.c_transfer
-                    && other.k_unroll == c.k_unroll
-                    && other.schedule == c.schedule
                     && match metrics[j] {
                         Some((other_cost, other_microkernels)) => {
                             other_cost <= cost
@@ -862,18 +803,9 @@ mod tests {
     fn candidate_enumeration_covers_the_knob_space() {
         let abt = GemmConfig::abt(64, 64, 64);
         let candidates = enumerate_candidates(&abt);
-        // 4 kinds × 2 transfers × 3 unrolls serial, plus a pipelined twin
-        // of each unroll-1 candidate (4 kinds × 2 transfers; k = 64 is
-        // even and B is row-major), plus the single Neon candidate
+        // 4 plan kinds × 2 transfers, plus the single Neon candidate
         // (64 % 16 == 0 and 64 % 4 == 0, so the Neon generator applies).
-        assert_eq!(candidates.len(), 33);
-        assert_eq!(
-            candidates
-                .iter()
-                .filter(|c| c.schedule == KernelSchedule::Pipelined)
-                .count(),
-            8
-        );
+        assert_eq!(candidates.len(), 4 * 2 + 1);
         assert!(candidates.contains(&PlanCandidate::default_for(&abt)));
         assert_eq!(
             candidates
@@ -891,7 +823,7 @@ mod tests {
         // generator (row-major B only) contributes no candidate.
         let ab = GemmConfig::ab(64, 64, 64);
         let candidates = enumerate_candidates(&ab);
-        assert_eq!(candidates.len(), 6);
+        assert_eq!(candidates.len(), 2);
         assert!(candidates.iter().all(|c| c.kind == PlanKind::ColumnPanels));
         assert!(candidates.iter().all(|c| c.backend == Backend::Sme));
         assert!(candidates.contains(&PlanCandidate::default_for(&ab)));
@@ -907,17 +839,10 @@ mod tests {
         assert!(PlanCandidate::neon_for(&ragged).is_some());
         assert_eq!(PlanCandidate::neon_for(&GemmConfig::ab(33, 47, 64)), None);
 
-        // Non-dividing unrolls are dropped (they alias the unroll-1
-        // kernel): k = 2 keeps {1, 2}, an odd k keeps only 1…
-        let shallow = GemmConfig::abt(32, 32, 2);
-        assert!(enumerate_candidates(&shallow)
-            .iter()
-            .all(|c| c.k_unroll <= 2));
-        let odd = GemmConfig::abt(32, 32, 5);
-        assert!(enumerate_candidates(&odd).iter().all(|c| c.k_unroll == 1));
-        // …but never the configuration's own setting.
-        let forced = GemmConfig::abt(32, 32, 2).with_k_unroll(4);
-        assert!(enumerate_candidates(&forced).contains(&PlanCandidate::default_for(&forced)));
+        // The default candidate is present whatever transfer the
+        // configuration carries.
+        let direct = GemmConfig::abt(32, 32, 5).with_c_transfer(ZaTransferStrategy::Direct);
+        assert!(enumerate_candidates(&direct).contains(&PlanCandidate::default_for(&direct)));
     }
 
     #[test]
@@ -927,12 +852,9 @@ mod tests {
             backend: Backend::Sme,
             kind: PlanKind::Homogeneous(RegisterBlocking::B16x64),
             c_transfer: ZaTransferStrategy::Direct,
-            k_unroll: 4,
-            schedule: KernelSchedule::Serial,
         };
         let rewritten = candidate.apply(&cfg);
         assert_eq!(rewritten.c_transfer, ZaTransferStrategy::Direct);
-        assert_eq!(rewritten.k_unroll, 4);
         assert_eq!((rewritten.m, rewritten.n, rewritten.k), (48, 48, 32));
         assert_eq!(rewritten.b_layout, cfg.b_layout);
     }
@@ -969,7 +891,7 @@ mod tests {
             for other in after
                 .iter()
                 .filter(|o| *o != c && o.backend == Backend::Sme)
-                .filter(|o| o.c_transfer == c.c_transfer && o.k_unroll == c.k_unroll)
+                .filter(|o| o.c_transfer == c.c_transfer)
             {
                 let other_plan = other.kind.build(cfg.m, cfg.n);
                 let (other_cost, other_mks) = (

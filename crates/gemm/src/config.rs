@@ -89,55 +89,6 @@ pub enum ZaTransferStrategy {
     TwoStep,
 }
 
-/// Instruction schedule of the generated kernel's block sequence.
-///
-/// The serial schedule emits each output block as load → compute → store.
-/// The software-pipelined schedule double-buffers the packed A/B operand
-/// loads: the first contraction step of the *next* block is loaded into a
-/// secondary register set (`z16`–`z23`) before the current block's C store
-/// retires, so the store's ZA read-after-write stall no longer delays the
-/// next block's first outer products on the shared load/store unit. The
-/// tuner treats the schedule as a fourth knob (plan × transfer × unroll ×
-/// schedule) and only keeps it where simulated cycles actually drop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum KernelSchedule {
-    /// Load → compute → store, one block at a time.
-    Serial,
-    /// Double-buffered: the next block's first operand loads are hoisted
-    /// above the current block's C store.
-    Pipelined,
-}
-
-impl KernelSchedule {
-    /// Both schedules, serial first.
-    pub const fn all() -> [KernelSchedule; 2] {
-        [KernelSchedule::Serial, KernelSchedule::Pipelined]
-    }
-
-    /// Stable textual name (used by the plan store's JSON format).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelSchedule::Serial => "Serial",
-            KernelSchedule::Pipelined => "Pipelined",
-        }
-    }
-
-    /// Inverse of [`KernelSchedule::name`].
-    pub fn from_name(name: &str) -> Option<KernelSchedule> {
-        match name {
-            "Serial" => Some(KernelSchedule::Serial),
-            "Pipelined" => Some(KernelSchedule::Pipelined),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for KernelSchedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Errors reported while validating a configuration or generating a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GemmError {
@@ -188,10 +139,6 @@ pub struct GemmConfig {
     pub beta: Beta,
     /// How C blocks are moved in and out of the ZA array.
     pub c_transfer: ZaTransferStrategy,
-    /// Unroll factor of the contraction loop (1, 2 or 4).
-    pub k_unroll: usize,
-    /// Instruction schedule of the block sequence.
-    pub schedule: KernelSchedule,
 }
 
 impl GemmConfig {
@@ -208,8 +155,6 @@ impl GemmConfig {
             b_layout: BLayout::RowMajor,
             beta: Beta::One,
             c_transfer: ZaTransferStrategy::TwoStep,
-            k_unroll: 1,
-            schedule: KernelSchedule::Serial,
         }
     }
 
@@ -240,18 +185,6 @@ impl GemmConfig {
     /// Builder: set the ZA transfer strategy for C blocks.
     pub fn with_c_transfer(mut self, strategy: ZaTransferStrategy) -> Self {
         self.c_transfer = strategy;
-        self
-    }
-
-    /// Builder: set the contraction-loop unroll factor.
-    pub fn with_k_unroll(mut self, unroll: usize) -> Self {
-        self.k_unroll = unroll;
-        self
-    }
-
-    /// Builder: set the instruction schedule of the block sequence.
-    pub fn with_schedule(mut self, schedule: KernelSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -290,12 +223,6 @@ impl GemmConfig {
             return Err(GemmError::InvalidLeadingDimension(format!(
                 "ldb = {} must be >= {} for {:?} B",
                 self.ldb, min_ldb, self.b_layout
-            )));
-        }
-        if !matches!(self.k_unroll, 1 | 2 | 4) {
-            return Err(GemmError::Unsupported(format!(
-                "k_unroll = {} (supported: 1, 2, 4)",
-                self.k_unroll
             )));
         }
         Ok(())
@@ -401,18 +328,6 @@ mod tests {
     fn zero_dimensions_rejected() {
         let c = GemmConfig::abt(0, 32, 64);
         assert!(matches!(c.validate(), Err(GemmError::InvalidDimension(_))));
-    }
-
-    #[test]
-    fn unroll_validation() {
-        assert!(GemmConfig::abt(32, 32, 64)
-            .with_k_unroll(3)
-            .validate()
-            .is_err());
-        assert!(GemmConfig::abt(32, 32, 64)
-            .with_k_unroll(4)
-            .validate()
-            .is_ok());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! never again downstream.
 
 use crate::blocking::PlanCandidate;
-use crate::config::{GemmConfig, GemmError};
+use crate::config::{Backend, GemmConfig, GemmError};
 use crate::widening::WideningGemmConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -118,6 +118,23 @@ impl AnyGemmConfig {
         match self {
             AnyGemmConfig::Fp32(c) => c.validate(),
             AnyGemmConfig::WideningBf16(c) => c.validate(),
+        }
+    }
+
+    /// Whether `backend`'s generator accepts this configuration (see
+    /// [`crate::neon::neon_supports`], [`crate::neon::neon_widening_supports`]
+    /// and [`crate::widening::sme_widening_supports`]); the FP32 SME
+    /// generator is total.
+    pub fn supported_by(&self, backend: Backend) -> bool {
+        match (self, backend) {
+            (AnyGemmConfig::Fp32(_), Backend::Sme) => true,
+            (AnyGemmConfig::Fp32(c), Backend::Neon) => crate::neon::neon_supports(c).is_ok(),
+            (AnyGemmConfig::WideningBf16(c), Backend::Sme) => {
+                crate::widening::sme_widening_supports(c).is_ok()
+            }
+            (AnyGemmConfig::WideningBf16(c), Backend::Neon) => {
+                crate::neon::neon_widening_supports(c).is_ok()
+            }
         }
     }
 

@@ -1,15 +1,9 @@
 //! Top-level just-in-time kernel generation.
 
-use crate::blocking::{
-    pipeline_supported, plan_column_panels, plan_for_config, BlockPlan, PlanCandidate, PlanKind,
-};
-use crate::config::{BLayout, Backend, Beta, GemmConfig, GemmError, KernelSchedule};
+use crate::blocking::{plan_column_panels, plan_for_config, BlockPlan, PlanCandidate, PlanKind};
+use crate::config::{BLayout, Backend, GemmConfig, GemmError};
 use crate::kernel::{CompiledKernel, RoutedKernel};
-use crate::loads::{emit_c_transfer, emit_zero_tiles, TransferDir};
-use crate::microkernel::{
-    emit_block, emit_block_predicates, emit_c_pointer, emit_pipeline_prologue,
-    emit_pipelined_k_loop, xr, BSource, BK_STRIDE, LDA_B, LDB_B, LDC_B, SCRATCH,
-};
+use crate::microkernel::{emit_block, xr, BSource, BK_STRIDE, LDA_B, LDB_B, LDC_B, SCRATCH};
 use crate::transpose::{emit_panel_transpose, scratch_bytes};
 use sme_isa::asm::Assembler;
 use sme_isa::inst::{ScalarInst, SmeInst};
@@ -97,38 +91,8 @@ pub fn generate_with_plan(
     match cfg.b_layout {
         BLayout::RowMajor => {
             asm.mov_imm64(xr(BK_STRIDE), (cfg.ldb * 4) as u64);
-            // The pipelined schedule needs even k (the rotated loop retires
-            // two steps per trip) and is incompatible with k-unrolling; any
-            // configuration outside that envelope falls back to the serial
-            // schedule rather than erroring, so a cached plan tuned for a
-            // slightly different shape still compiles.
-            let pipelined = cfg.schedule == KernelSchedule::Pipelined
-                && pipeline_supported(cfg)
-                && cfg.k_unroll == 1;
-            if pipelined {
-                emit_pipeline_prologue(&mut asm, &plan.blocks[0], BSource::RowMajor);
-                for (i, block) in plan.blocks.iter().enumerate() {
-                    emit_block_predicates(&mut asm, block);
-                    emit_c_pointer(&mut asm, cfg, block);
-                    match cfg.beta {
-                        Beta::Zero => emit_zero_tiles(&mut asm, block),
-                        Beta::One => emit_c_transfer(&mut asm, cfg, block, TransferDir::Load),
-                    }
-                    emit_pipelined_k_loop(&mut asm, cfg, block);
-                    // Hoist the next block's step-0 operand loads above this
-                    // block's C store: the store stalls on the final outer
-                    // products' ZA dependencies while the load/store unit
-                    // sits idle, which is exactly when the next operands can
-                    // stream in.
-                    if let Some(next) = plan.blocks.get(i + 1) {
-                        emit_pipeline_prologue(&mut asm, next, BSource::RowMajor);
-                    }
-                    emit_c_transfer(&mut asm, cfg, block, TransferDir::Store);
-                }
-            } else {
-                for block in &plan.blocks {
-                    emit_block(&mut asm, cfg, block, BSource::RowMajor);
-                }
+            for block in &plan.blocks {
+                emit_block(&mut asm, cfg, block, BSource::RowMajor);
             }
         }
         BLayout::ColMajor => {
@@ -165,9 +129,9 @@ pub fn generate_with_plan(
 /// Generate a kernel for `cfg` rewritten with a tuning candidate — the
 /// dispatch path used by the `sme-runtime` autotuner and kernel cache.
 ///
-/// The candidate's ZA transfer strategy and unroll factor replace the
-/// configuration's own, and its [`PlanKind`] selects the block plan. Kinds
-/// other than the layout default are routed through the plan override of
+/// The candidate's ZA transfer strategy replaces the configuration's own,
+/// and its [`PlanKind`] selects the block plan. Kinds other than the layout
+/// default are routed through the plan override of
 /// [`generate_with_plan`]; the layout-default kind passes `None` so this
 /// function is exactly `generate` when given
 /// [`PlanCandidate::default_for`]`(cfg)`.
@@ -365,13 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn unrolled_kernels_validate() {
-        let cfg = GemmConfig::abt(32, 32, 16).with_k_unroll(4);
-        let (_, err) = generate_validated(&cfg).expect("generation must succeed");
-        assert!(err < 1e-4);
-    }
-
-    #[test]
     fn padded_leading_dimensions_validate() {
         let cfg = GemmConfig::abt(30, 20, 7).with_leading_dims(37, 25, 41);
         let (_, err) = generate_validated(&cfg).expect("generation must succeed");
@@ -412,7 +369,6 @@ mod tests {
             if candidate.backend == Backend::Sme {
                 let kernel_cfg = kernel.fp32_config().expect("FP32 kernel");
                 assert_eq!(kernel_cfg.c_transfer, candidate.c_transfer);
-                assert_eq!(kernel_cfg.k_unroll, candidate.k_unroll);
             }
             let err = kernel.validate(0xACE);
             assert!(err < 1e-4, "{candidate:?}: max abs error {err}");
@@ -432,8 +388,6 @@ mod tests {
             backend: Backend::Sme,
             kind: PlanKind::Heterogeneous,
             c_transfer: cfg.c_transfer,
-            k_unroll: 1,
-            schedule: KernelSchedule::Serial,
         };
         assert!(matches!(
             generate_tuned(&cfg, &bad),

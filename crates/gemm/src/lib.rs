@@ -69,12 +69,10 @@ pub mod widening;
 
 pub use blocking::{
     analytic_k_step_cycles, analytic_widening_k_pair_cycles, enumerate_candidates,
-    group_load_cycles, pipeline_supported, plan_heterogeneous, plan_homogeneous,
-    prune_dominated_candidates, BlockPlan, PlanCandidate, PlanKind, RegisterBlocking,
+    group_load_cycles, plan_heterogeneous, plan_homogeneous, prune_dominated_candidates, BlockPlan,
+    PlanCandidate, PlanKind, RegisterBlocking,
 };
-pub use config::{
-    BLayout, Backend, Beta, GemmConfig, GemmError, KernelSchedule, ZaTransferStrategy,
-};
+pub use config::{BLayout, Backend, Beta, GemmConfig, GemmError, ZaTransferStrategy};
 pub use dtype::{default_any_candidate, enumerate_any_candidates, AnyGemmConfig, Dtype};
 pub use generator::{
     generate, generate_any_backend, generate_any_routed, generate_backend, generate_routed,

@@ -55,12 +55,6 @@ pub(crate) const ZB_B: u8 = 4;
 /// First Z register used to stage accumulator columns during two-step
 /// transfers.
 pub(crate) const ZC_STAGE: u8 = 8;
-/// First Z register of the secondary (double-buffered) A set used by the
-/// pipelined schedule.
-pub(crate) const ZA_ALT: u8 = 16;
-/// First Z register of the secondary (double-buffered) B set used by the
-/// pipelined schedule.
-pub(crate) const ZB_ALT: u8 = 20;
 
 /// Predicate register for row group `rg` (masks A values / C rows).
 pub(crate) fn row_pred(rg: usize) -> PReg {
@@ -111,21 +105,6 @@ pub(crate) fn wa_counter() -> PnReg {
 /// widening microkernel.
 pub(crate) fn wb_counter() -> PnReg {
     PnReg::new(13)
-}
-
-/// Counter register governing the pipelined schedule's secondary A loads.
-///
-/// The secondary loads are always counter-governed (even one-group blocks
-/// use a two-vector counted load): a single-vector `ld1w`'s governing
-/// predicate must sit in P0–P7, which are owned by the *current* block's
-/// row/column masks while the next block's operands stream in.
-pub(crate) fn alt_a_counter() -> PnReg {
-    PnReg::new(10)
-}
-
-/// Counter register governing the pipelined schedule's secondary B loads.
-pub(crate) fn alt_b_counter() -> PnReg {
-    PnReg::new(11)
 }
 
 pub(crate) fn xr(n: u8) -> XReg {
@@ -261,15 +240,6 @@ pub(crate) fn emit_block_pointers(
     block: &BlockInstance,
     b_source: BSource,
 ) {
-    emit_ab_pointers(asm, block, b_source);
-    emit_c_pointer(asm, cfg, block);
-}
-
-/// Emit the A/B cursor initialisation for one block. Split from
-/// [`emit_block_pointers`] so the pipelined schedule can reset the operand
-/// cursors early (before the previous block's C store) while the C pointer
-/// is still in use.
-pub(crate) fn emit_ab_pointers(asm: &mut Assembler, block: &BlockInstance, b_source: BSource) {
     // A cursor: column 0 of the block's rows.
     asm.push(ScalarInst::MovReg {
         rd: xr(A_PTR),
@@ -300,11 +270,6 @@ pub(crate) fn emit_ab_pointers(asm: &mut Assembler, block: &BlockInstance, b_sou
             }
         }
     }
-}
-
-/// Emit the C base-pointer initialisation for one block (the other half of
-/// [`emit_block_pointers`]).
-pub(crate) fn emit_c_pointer(asm: &mut Assembler, cfg: &GemmConfig, block: &BlockInstance) {
     // C base pointer.
     let c_off = cfg.c_offset(block.row0, block.col0) as u64;
     asm.push(ScalarInst::MovReg {
@@ -329,15 +294,7 @@ pub(crate) fn emit_c_pointer(asm: &mut Assembler, cfg: &GemmConfig, block: &Bloc
 /// Emit the contraction loop (Lst. 4): per step, load one column of A and
 /// one row of B, bump the cursors and issue one FMOPA per active tile.
 pub(crate) fn emit_k_loop(asm: &mut Assembler, cfg: &GemmConfig, block: &BlockInstance) {
-    let k = cfg.k;
-    let unroll = if cfg.k_unroll > 1 && k.is_multiple_of(cfg.k_unroll) {
-        cfg.k_unroll
-    } else {
-        1
-    };
-    let trips = k / unroll;
-
-    asm.mov_imm64(xr(K_CNT), trips as u64);
+    asm.mov_imm64(xr(K_CNT), cfg.k as u64);
     let top = asm.new_label();
     asm.bind(top);
     asm.push(ScalarInst::SubImm {
@@ -346,21 +303,12 @@ pub(crate) fn emit_k_loop(asm: &mut Assembler, cfg: &GemmConfig, block: &BlockIn
         imm12: 1,
         shift12: false,
     });
-    for _ in 0..unroll {
-        emit_k_step(asm, block);
-    }
+    emit_k_step(asm, block);
     asm.cbnz(xr(K_CNT), top);
 }
 
 /// One contraction step: operand loads, cursor bumps, FMOPAs.
 fn emit_k_step(asm: &mut Assembler, block: &BlockInstance) {
-    emit_k_step_loads(asm, block);
-    emit_k_step_fmopas(asm, block, ZA_A, ZB_B);
-}
-
-/// The load half of one contraction step: primary-register operand loads
-/// followed by the cursor bumps.
-fn emit_k_step_loads(asm: &mut Assembler, block: &BlockInstance) {
     emit_operand_load(
         asm,
         ZA_A,
@@ -377,11 +325,6 @@ fn emit_k_step_loads(asm: &mut Assembler, block: &BlockInstance) {
         b_counter(),
         B_PTR,
     );
-    emit_ab_bump(asm);
-}
-
-/// Advance the A/B cursors by one contraction step.
-fn emit_ab_bump(asm: &mut Assembler) {
     asm.push(ScalarInst::AddReg {
         rd: xr(A_PTR),
         rn: xr(A_PTR),
@@ -394,12 +337,6 @@ fn emit_ab_bump(asm: &mut Assembler) {
         rm: xr(BK_STRIDE),
         shift: None,
     });
-}
-
-/// The compute half of one contraction step: one FMOPA per active tile,
-/// reading A from `za_first..` and B from `zb_first..` (the primary or
-/// secondary register set).
-fn emit_k_step_fmopas(asm: &mut Assembler, block: &BlockInstance, za_first: u8, zb_first: u8) {
     for cg in 0..block.active_col_groups() {
         for rg in 0..block.active_row_groups() {
             let tile = block.blocking.tile_index(rg, cg);
@@ -407,102 +344,11 @@ fn emit_k_step_fmopas(asm: &mut Assembler, block: &BlockInstance, za_first: u8, 
                 tile,
                 col_pred(cg),
                 row_pred(rg),
-                zr(zb_first + cg as u8),
-                zr(za_first + rg as u8),
+                zr(ZB_B + cg as u8),
+                zr(ZA_A + rg as u8),
             ));
         }
     }
-}
-
-/// Emit the pipelined schedule's block prologue for `block`: set the A/B
-/// cursors, program the secondary load counters (`pn10`/`pn11`) and stream
-/// contraction step 0 into the secondary registers (`z16`–`z23`), leaving
-/// the cursors pointing at step 1.
-///
-/// This is emitted *before the previous block's C store* (or at kernel
-/// start for the first block): it touches only `A_PTR`, `B_PTR`, `TMP1`,
-/// the secondary counters and the secondary Z registers, none of which the
-/// C-transfer path reads or writes, so the hoisted loads fill the
-/// load/store unit's dead time while the store drains the last outer
-/// products' ZA dependencies.
-pub(crate) fn emit_pipeline_prologue(
-    asm: &mut Assembler,
-    block: &BlockInstance,
-    b_source: BSource,
-) {
-    let a_vecs = load_vectors(block.active_row_groups()).max(2);
-    let b_vecs = load_vectors(block.active_col_groups()).max(2);
-    emit_counter_predicate(asm, alt_a_counter(), block.rows, a_vecs, ElementType::F32);
-    emit_counter_predicate(asm, alt_b_counter(), block.cols, b_vecs, ElementType::F32);
-    emit_ab_pointers(asm, block, b_source);
-    emit_alt_loads(asm, block);
-}
-
-/// Load one contraction step into the secondary registers and bump the
-/// cursors. Always counter-governed (see [`alt_a_counter`]); a one-group
-/// operand uses a two-vector counted load whose second register is masked
-/// off by the counter.
-fn emit_alt_loads(asm: &mut Assembler, block: &BlockInstance) {
-    let a_vecs = load_vectors(block.active_row_groups()).max(2);
-    let b_vecs = load_vectors(block.active_col_groups()).max(2);
-    asm.push(SveInst::ld1w_multi(
-        zr(ZA_ALT),
-        a_vecs as u8,
-        alt_a_counter(),
-        xr(A_PTR),
-        0,
-    ));
-    asm.push(SveInst::ld1w_multi(
-        zr(ZB_ALT),
-        b_vecs as u8,
-        alt_b_counter(),
-        xr(B_PTR),
-        0,
-    ));
-    emit_ab_bump(asm);
-}
-
-/// Emit the software-pipelined contraction loop.
-///
-/// On entry the secondary registers hold contraction step 0 (loaded by
-/// [`emit_pipeline_prologue`]) and the cursors point at step 1. Each trip
-/// of the rotated loop retires two steps, always loading one step ahead of
-/// the outer products so an FMOPA never waits on a load issued in its own
-/// trip:
-///
-/// ```text
-/// load step 2t+1 → primary      (z0–z7)
-/// fmopa step 2t  ← secondary    (z16–z23)
-/// load step 2t+2 → secondary
-/// fmopa step 2t+1 ← primary
-/// ```
-///
-/// The epilogue loads step `k-1` into the primary set and retires the two
-/// in-flight steps. Requires even `k` (see
-/// [`crate::blocking::pipeline_supported`]); `k == 2` skips the loop
-/// entirely — the do-while form would otherwise execute its body once.
-pub(crate) fn emit_pipelined_k_loop(asm: &mut Assembler, cfg: &GemmConfig, block: &BlockInstance) {
-    debug_assert!(cfg.k.is_multiple_of(2));
-    let trips = cfg.k / 2 - 1;
-    if trips > 0 {
-        asm.mov_imm64(xr(K_CNT), trips as u64);
-        let top = asm.new_label();
-        asm.bind(top);
-        asm.push(ScalarInst::SubImm {
-            rd: xr(K_CNT),
-            rn: xr(K_CNT),
-            imm12: 1,
-            shift12: false,
-        });
-        emit_k_step_loads(asm, block);
-        emit_k_step_fmopas(asm, block, ZA_ALT, ZB_ALT);
-        emit_alt_loads(asm, block);
-        emit_k_step_fmopas(asm, block, ZA_A, ZB_B);
-        asm.cbnz(xr(K_CNT), top);
-    }
-    emit_k_step_loads(asm, block);
-    emit_k_step_fmopas(asm, block, ZA_ALT, ZB_ALT);
-    emit_k_step_fmopas(asm, block, ZA_A, ZB_B);
 }
 
 /// Emit the complete code for one block instance: predicates, pointers,
@@ -639,33 +485,5 @@ mod tests {
             .collect();
         assert!(movs.contains(&9));
         assert!(movs.contains(&13));
-    }
-
-    #[test]
-    fn unrolled_k_loop_replicates_the_body() {
-        let cfg = GemmConfig::abt(32, 32, 64).with_k_unroll(4);
-        let block = full_block(RegisterBlocking::B32x32);
-        let mut asm1 = Assembler::new("u1");
-        emit_k_loop(&mut asm1, &GemmConfig::abt(32, 32, 64), &block);
-        let mut asm4 = Assembler::new("u4");
-        emit_k_loop(&mut asm4, &cfg, &block);
-        let p1 = asm1.finish();
-        let p4 = asm4.finish();
-        let fmopas = |p: &sme_isa::Program| {
-            p.count_matching(|i| matches!(i, Inst::Sme(SmeInst::Fmopa { .. })))
-        };
-        assert_eq!(fmopas(&p1), 4);
-        assert_eq!(fmopas(&p4), 16);
-    }
-
-    #[test]
-    fn odd_k_with_unroll_falls_back_to_single_steps() {
-        let cfg = GemmConfig::abt(32, 32, 63).with_k_unroll(4);
-        let block = full_block(RegisterBlocking::B32x32);
-        let mut asm = Assembler::new("odd");
-        emit_k_loop(&mut asm, &cfg, &block);
-        let program = asm.finish();
-        let fmopas = program.count_matching(|i| matches!(i, Inst::Sme(SmeInst::Fmopa { .. })));
-        assert_eq!(fmopas, 4, "falls back to a single-step loop body");
     }
 }

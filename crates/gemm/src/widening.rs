@@ -13,7 +13,7 @@
 //!   [`pack_a_bf16_mmla`] / [`pack_b_bf16_mmla`]);
 //! * the generated SME kernel accumulates FP32 blocks in the four ZA tiles,
 //!   consuming **two contraction steps per BFMOPA**, with the same
-//!   register-blocking, ZA-transfer and unroll candidate space as the FP32
+//!   register-blocking and ZA-transfer candidate space as the FP32
 //!   generator ([`enumerate_widening_candidates`]), including the
 //!   heterogeneous edge-bearing plans;
 //! * remainder rows/columns off the 32×32 accumulator grid are handled with
@@ -28,7 +28,7 @@
 //!   pure performance decision made by the `sme-router`.
 
 use crate::blocking::{BlockInstance, PlanCandidate, PlanKind, RegisterBlocking};
-use crate::config::{Backend, GemmConfig, GemmError, KernelSchedule, ZaTransferStrategy};
+use crate::config::{Backend, GemmConfig, GemmError, ZaTransferStrategy};
 use crate::loads::{emit_c_transfer, TransferDir};
 use crate::microkernel::{
     a_counter, col_pred, emit_counter_predicate, emit_lane_predicate, load_vectors, row_pred,
@@ -85,8 +85,6 @@ pub struct WideningGemmConfig {
     pub k: usize,
     /// How C blocks are moved in and out of the ZA array (SME only).
     pub c_transfer: ZaTransferStrategy,
-    /// Unroll factor of the contraction-pair loop (1, 2 or 4; SME only).
-    pub k_unroll: usize,
 }
 
 impl WideningGemmConfig {
@@ -97,7 +95,6 @@ impl WideningGemmConfig {
             n,
             k,
             c_transfer: ZaTransferStrategy::TwoStep,
-            k_unroll: 1,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -125,24 +122,12 @@ impl WideningGemmConfig {
                 "widening kernels require an even k (2-way interleaved packing)".into(),
             ));
         }
-        if !matches!(self.k_unroll, 1 | 2 | 4) {
-            return Err(GemmError::Unsupported(format!(
-                "k_unroll = {} (supported: 1, 2, 4)",
-                self.k_unroll
-            )));
-        }
         Ok(())
     }
 
     /// Builder: set the ZA transfer strategy for C blocks (SME only).
     pub fn with_c_transfer(mut self, strategy: ZaTransferStrategy) -> Self {
         self.c_transfer = strategy;
-        self
-    }
-
-    /// Builder: set the contraction-pair unroll factor (SME only).
-    pub fn with_k_unroll(mut self, unroll: usize) -> Self {
-        self.k_unroll = unroll;
         self
     }
 
@@ -571,8 +556,6 @@ pub fn default_widening_candidate(cfg: &WideningGemmConfig) -> PlanCandidate {
         backend: Backend::Sme,
         kind: PlanKind::Homogeneous(RegisterBlocking::B32x32),
         c_transfer: cfg.c_transfer,
-        k_unroll: cfg.k_unroll,
-        schedule: KernelSchedule::Serial,
     }
 }
 
@@ -585,10 +568,6 @@ pub fn default_widening_candidate(cfg: &WideningGemmConfig) -> PlanCandidate {
 ///   (a 40×40 output, say, genuinely chooses between one masked-edge
 ///   heterogeneous cover and four masked 32×32 blocks);
 /// * both [`ZaTransferStrategy`] variants;
-/// * contraction-**pair** unroll factors from {1, 2, 4} that divide `k / 2`
-///   (non-dividing factors fall back to unroll 1 in the generator and would
-///   only duplicate candidates), never dropping the configuration's own
-///   setting;
 /// * the single Neon `BFMMLA` candidate, so the tuner compares across
 ///   engines.
 ///
@@ -601,29 +580,19 @@ pub fn enumerate_widening_candidates(cfg: &WideningGemmConfig) -> Vec<PlanCandid
         PlanKind::Homogeneous(RegisterBlocking::B16x64),
         PlanKind::Homogeneous(RegisterBlocking::B64x16),
     ];
-    let pairs = cfg.k / 2;
     for &kind in &kinds {
         for c_transfer in [ZaTransferStrategy::TwoStep, ZaTransferStrategy::Direct] {
-            for k_unroll in [1usize, 2, 4] {
-                if !pairs.is_multiple_of(k_unroll) && k_unroll != cfg.k_unroll {
-                    continue;
-                }
-                candidates.push(PlanCandidate {
-                    backend: Backend::Sme,
-                    kind,
-                    c_transfer,
-                    k_unroll,
-                    schedule: KernelSchedule::Serial,
-                });
-            }
+            candidates.push(PlanCandidate {
+                backend: Backend::Sme,
+                kind,
+                c_transfer,
+            });
         }
     }
     candidates.push(PlanCandidate {
         backend: Backend::Neon,
         kind: PlanKind::Homogeneous(RegisterBlocking::B32x32),
         c_transfer: cfg.c_transfer,
-        k_unroll: cfg.k_unroll,
-        schedule: KernelSchedule::Serial,
     });
     debug_assert!(candidates.contains(&default_widening_candidate(cfg)));
     candidates
@@ -682,7 +651,6 @@ pub fn generate_widening_tuned(
     }
     let cfg = WideningGemmConfig {
         c_transfer: candidate.c_transfer,
-        k_unroll: candidate.k_unroll,
         ..*cfg
     };
     sme_widening_supports(&cfg)?;
@@ -711,11 +679,6 @@ pub fn generate_widening_tuned(
 
     let plan = candidate.kind.build(cfg.m, cfg.n);
     let pairs = cfg.k / 2;
-    let unroll = if cfg.k_unroll > 1 && pairs.is_multiple_of(cfg.k_unroll) {
-        cfg.k_unroll
-    } else {
-        1
-    };
     for block in &plan.blocks {
         emit_widening_block_predicates(&mut asm, block);
 
@@ -757,7 +720,7 @@ pub fn generate_widening_tuned(
         emit_c_transfer(&mut asm, &c_cfg, block, TransferDir::Load);
 
         // Contraction loop over k *pairs*.
-        asm.mov_imm64(xr(K_CNT), (pairs / unroll) as u64);
+        asm.mov_imm64(xr(K_CNT), pairs as u64);
         let top = asm.new_label();
         asm.bind(top);
         asm.push(ScalarInst::SubImm {
@@ -766,9 +729,7 @@ pub fn generate_widening_tuned(
             imm12: 1,
             shift12: false,
         });
-        for _ in 0..unroll {
-            emit_widening_k_pair(&mut asm, block);
-        }
+        emit_widening_k_pair(&mut asm, block);
         asm.cbnz(xr(K_CNT), top);
 
         // Store the FP32 accumulator block.
@@ -933,7 +894,6 @@ mod tests {
         assert_eq!(c.packed_a_len(), 640);
         assert_eq!(c.packed_b_len(), 320);
         assert_eq!(c.packed_a_mmla_len(), 64 / 2 * 3 * 8);
-        assert!(c.with_k_unroll(3).validate().is_err());
     }
 
     #[test]
@@ -1067,12 +1027,11 @@ mod tests {
 
     #[test]
     fn widening_candidates_mirror_the_fp32_space() {
-        // 64x64: 4 plan kinds x 2 transfers x unrolls {1,2,4} (k=8 -> 4
-        // pairs, all divide) + the Neon candidate — the same shape as the
-        // FP32 row-major space.
+        // 64x64: 4 plan kinds x 2 transfers + the Neon candidate — the
+        // same shape as the FP32 row-major space.
         let cfg = WideningGemmConfig::new(64, 64, 8).unwrap();
         let candidates = enumerate_widening_candidates(&cfg);
-        assert_eq!(candidates.len(), 4 * 2 * 3 + 1);
+        assert_eq!(candidates.len(), 4 * 2 + 1);
         assert!(candidates.contains(&default_widening_candidate(&cfg)));
         assert_eq!(
             candidates
@@ -1092,12 +1051,6 @@ mod tests {
         assert!(candidates.iter().any(|c| c.backend == Backend::Sme));
         assert!(candidates.iter().any(|c| c.backend == Backend::Neon));
         assert_eq!(default_widening_candidate(&thin).backend, Backend::Sme);
-
-        // k = 2 (one pair): only unroll 1 survives.
-        let shallow = WideningGemmConfig::new(32, 32, 2).unwrap();
-        assert!(enumerate_widening_candidates(&shallow)
-            .iter()
-            .all(|c| c.k_unroll == 1));
     }
 
     #[test]
@@ -1124,7 +1077,6 @@ mod tests {
             }
             let kernel = generate_widening_tuned(&cfg, &candidate).expect("tuned generation");
             assert_eq!(kernel.config().c_transfer, candidate.c_transfer);
-            assert_eq!(kernel.config().k_unroll, candidate.k_unroll);
             let err = kernel.validate(0xACE);
             assert!(err < WIDENING_REL_TOL, "{candidate:?}: {err}");
         }
@@ -1180,26 +1132,6 @@ mod tests {
             .count_matching(|i| matches!(i, Inst::Sme(SmeInst::FmopaWide { .. })));
         assert_eq!(bfmopas, 4);
         assert!(kernel.disassembly().contains("bfmopa"));
-    }
-
-    #[test]
-    fn unrolled_widening_kernels_replicate_the_pair_body() {
-        use sme_isa::inst::Inst;
-        let cfg = WideningGemmConfig::new(32, 32, 16).unwrap();
-        let candidate = PlanCandidate {
-            k_unroll: 4,
-            ..default_widening_candidate(&cfg)
-        };
-        let kernel = generate_widening_tuned(&cfg, &candidate).unwrap();
-        let branches = kernel
-            .program()
-            .count_matching(|i| matches!(i, Inst::Scalar(ScalarInst::Cbnz { .. })));
-        assert_eq!(branches, 1);
-        let bfmopas = kernel
-            .program()
-            .count_matching(|i| matches!(i, Inst::Sme(SmeInst::FmopaWide { .. })));
-        assert_eq!(bfmopas, 16, "4 tiles x unroll 4");
-        assert!(kernel.validate(9) < WIDENING_REL_TOL);
     }
 
     #[test]

@@ -28,12 +28,12 @@
 use crate::router::Router;
 use crate::telemetry::{TelemetryError, TelemetryRegistry};
 use sme_gemm::AnyGemmConfig;
-use sme_runtime::fault::{self, FaultKind};
+use sme_runtime::fault::{self, FaultInjector, FaultKind};
 use sme_runtime::{FingerprintCheck, PlanStore, PlanStoreError, SnapshotSource, TunerOptions};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Configuration of the background pretuner.
@@ -258,6 +258,10 @@ pub struct PretuneDaemon {
     /// Monotonic tick counter, shared across clones of this daemon (the
     /// spawn loop clones the daemon into its thread).
     ticks: Arc<AtomicU64>,
+    /// Fault injector for ticks and snapshot I/O (see
+    /// [`PretuneDaemon::attach_faults`]), shared across clones like
+    /// `ticks`.
+    faults: Arc<OnceLock<Arc<dyn FaultInjector>>>,
 }
 
 impl PretuneDaemon {
@@ -266,7 +270,20 @@ impl PretuneDaemon {
         PretuneDaemon {
             config,
             ticks: Arc::new(AtomicU64::new(0)),
+            faults: Arc::new(OnceLock::new()),
         }
+    }
+
+    /// Arm this daemon's ticks and snapshot saves/loads with a fault
+    /// injector (see [`sme_runtime::fault`]). Only the first attach wins,
+    /// and it arms every clone of this daemon, including the loop's clone
+    /// made by [`PretuneDaemon::spawn`].
+    pub fn attach_faults(&self, injector: Arc<dyn FaultInjector>) {
+        let _ = self.faults.set(injector);
+    }
+
+    fn faults(&self) -> Option<&dyn FaultInjector> {
+        self.faults.get().map(|f| f.as_ref())
     }
 
     /// The daemon's configuration.
@@ -298,15 +315,22 @@ impl PretuneDaemon {
             plan_source: None,
         };
         if self.config.telemetry_path.exists() {
-            let recovered =
-                TelemetryRegistry::load_recovered(&self.config.telemetry_path, router.machine());
+            let recovered = TelemetryRegistry::load_recovered_with_faults(
+                &self.config.telemetry_path,
+                router.machine(),
+                self.faults(),
+            );
             report.telemetry_shapes = recovered.registry.len();
             report.telemetry_check = Some(recovered.check);
             report.telemetry_source = Some(recovered.source);
             router.telemetry().restore_from(recovered.registry);
         }
         if self.config.store_path.exists() {
-            let recovered = PlanStore::load_recovered(&self.config.store_path, router.machine());
+            let recovered = PlanStore::load_recovered_with_faults(
+                &self.config.store_path,
+                router.machine(),
+                self.faults(),
+            );
             report.plans = recovered.store.len();
             report.plan_check = Some(recovered.check);
             report.plan_source = Some(recovered.source);
@@ -319,7 +343,7 @@ impl PretuneDaemon {
     /// winner, compile every hot winner into the cache, persist the
     /// telemetry snapshot and the plan store.
     pub fn tick(&self, router: &Router) -> Result<TickReport, DaemonError> {
-        if fault::fire(FaultKind::DaemonTick, "daemon.tick") {
+        if fault::fire(self.faults(), FaultKind::DaemonTick, "daemon.tick") {
             return Err(DaemonError::Fault("daemon.tick".to_string()));
         }
         let tick_started = Instant::now();
@@ -361,7 +385,7 @@ impl PretuneDaemon {
             // every SME group; warm that kernel too so a post-restart
             // dispatch compiles nothing at all. Shapes Neon cannot serve
             // just skip this.
-            if backend == sme_gemm::Backend::Sme {
+            if backend == sme_gemm::Backend::Sme && config.supported_by(sme_gemm::Backend::Neon) {
                 if let Ok((_, hit)) =
                     router
                         .cache()
@@ -374,11 +398,13 @@ impl PretuneDaemon {
             }
         }
 
-        router.telemetry().save(&self.config.telemetry_path)?;
+        router
+            .telemetry()
+            .save_with_faults(&self.config.telemetry_path, self.faults())?;
         router
             .cache()
             .export_store()
-            .save(&self.config.store_path)?;
+            .save_with_faults(&self.config.store_path, self.faults())?;
         let report = TickReport {
             tick,
             duration: tick_started.elapsed(),
@@ -707,6 +733,29 @@ mod tests {
         assert!(handle.consecutive_failures() >= 1);
         assert_eq!(handle.last_report(), None, "no tick ever succeeded");
         assert_eq!(handle.stop(), StopOutcome::Stopped);
+    }
+
+    #[test]
+    fn faults_attached_after_a_clone_arm_the_clone_too() {
+        use sme_runtime::fault::{FaultKind, FaultPlan, FaultRule, SitePattern};
+        let dir = temp_dir("clone_faults");
+        let daemon = PretuneDaemon::new(PretuneDaemonConfig::in_dir(&dir));
+        let clone = daemon.clone();
+        daemon.attach_faults(Arc::new(FaultPlan::with_rules(
+            1,
+            vec![FaultRule {
+                kind: FaultKind::DaemonTick,
+                pattern: SitePattern::Any,
+                occurrence: 1,
+            }],
+        )));
+        let router = Router::new(8);
+        assert!(
+            matches!(clone.tick(&router), Err(DaemonError::Fault(_))),
+            "the clone shares the injector"
+        );
+        assert!(daemon.tick(&router).is_ok(), "the rule fires once");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -305,11 +305,14 @@ impl Router {
                 let cycles = self
                     .simulated_group_cycles(&config, backend, n, place_ctx)
                     .unwrap_or(0.0);
-                let alt_cycles = if adaptive && backend == Backend::Sme {
-                    self.simulated_group_cycles(&config, Backend::Neon, n, place_ctx)
-                } else {
-                    None
-                };
+                // Only cost a Neon alternative the Neon generator accepts: a
+                // fetch it must reject would count a cache miss every batch.
+                let alt_cycles =
+                    if adaptive && backend == Backend::Sme && config.supported_by(Backend::Neon) {
+                        self.simulated_group_cycles(&config, Backend::Neon, n, place_ctx)
+                    } else {
+                        None
+                    };
                 GroupCost {
                     config,
                     backend,
@@ -558,6 +561,28 @@ mod tests {
             .total
             .profile
             .sums_to(report.batch.total.cycles));
+    }
+
+    #[test]
+    fn warm_column_major_batches_record_no_cache_misses() {
+        // The Neon generator rejects column-major B, so placement must not
+        // cost (and fail to fetch) a Neon alternative for it every batch.
+        let router = Router::new(16);
+        let requests: Vec<GemmRequest> = [GemmConfig::ab(32, 32, 32), GemmConfig::abt(32, 32, 8)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, cfg)| GemmRequest::fp32(cfg, i as u64))
+            .collect();
+        router.dispatch(&requests).unwrap();
+        let warm = router.cache().stats();
+        let report = router.dispatch(&requests).unwrap();
+        assert!(report.batch.failures.is_empty());
+        let repeat = router.cache().stats();
+        assert_eq!(
+            repeat.misses, warm.misses,
+            "a warm repeat batch never misses"
+        );
+        assert!(repeat.hits > warm.hits);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use serde::Serialize;
 use sme_gemm::{AnyGemmConfig, BLayout, Backend, Beta, Dtype, GemmConfig, WideningGemmConfig};
 use sme_machine::MachineConfig;
-use sme_runtime::{BatchReport, FingerprintCheck};
+use sme_runtime::{BatchReport, FaultInjector, FingerprintCheck};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -399,8 +399,6 @@ impl TelemetryRegistry {
             b_layout: Option<BLayout>,
             beta: Option<Beta>,
             c_transfer: sme_gemm::ZaTransferStrategy,
-            k_unroll: usize,
-            schedule: Option<sme_gemm::KernelSchedule>,
             requests: u64,
             cycles: f64,
             decayed_requests: f64,
@@ -434,9 +432,9 @@ impl TelemetryRegistry {
             shapes: shapes
                 .into_iter()
                 .map(|s| {
-                    let (c_transfer, k_unroll) = match &s.config {
-                        AnyGemmConfig::Fp32(c) => (c.c_transfer, c.k_unroll),
-                        AnyGemmConfig::WideningBf16(c) => (c.c_transfer, c.k_unroll),
+                    let c_transfer = match &s.config {
+                        AnyGemmConfig::Fp32(c) => c.c_transfer,
+                        AnyGemmConfig::WideningBf16(c) => c.c_transfer,
                     };
                     Shape {
                         dtype: s.config.dtype(),
@@ -449,8 +447,6 @@ impl TelemetryRegistry {
                         b_layout: s.config.as_fp32().map(|c| c.b_layout),
                         beta: s.config.as_fp32().map(|c| c.beta),
                         c_transfer,
-                        k_unroll,
-                        schedule: s.config.as_fp32().map(|c| c.schedule),
                         requests: s.requests,
                         cycles: s.cycles,
                         decayed_requests: s.decayed_requests,
@@ -547,7 +543,6 @@ impl TelemetryRegistry {
                 "TwoStep" => sme_gemm::ZaTransferStrategy::TwoStep,
                 other => return Err(fail(&format!("unknown c_transfer `{other}`"))),
             };
-            let k_unroll = dim("k_unroll")?;
             let config = match dtype {
                 Dtype::Fp32 => {
                     let b_layout = match text_field("b_layout")? {
@@ -560,18 +555,6 @@ impl TelemetryRegistry {
                         "One" => Beta::One,
                         other => return Err(fail(&format!("unknown beta `{other}`"))),
                     };
-                    // Snapshots written before the schedule dimension have
-                    // no `schedule` field: those kernels were all serial.
-                    let schedule = match shape.get("schedule") {
-                        None | Some(serde_json::Value::Null) => sme_gemm::KernelSchedule::Serial,
-                        Some(v) => {
-                            let name = v
-                                .as_str()
-                                .ok_or_else(|| fail("`schedule` must be a string"))?;
-                            sme_gemm::KernelSchedule::from_name(name)
-                                .ok_or_else(|| fail(&format!("unknown schedule `{name}`")))?
-                        }
-                    };
                     let cfg = GemmConfig {
                         m: dim("m")?,
                         n: dim("n")?,
@@ -582,8 +565,6 @@ impl TelemetryRegistry {
                         b_layout,
                         beta,
                         c_transfer,
-                        k_unroll,
-                        schedule,
                     };
                     cfg.validate()
                         .map_err(|e| fail(&format!("invalid recorded configuration: {e}")))?;
@@ -592,8 +573,7 @@ impl TelemetryRegistry {
                 Dtype::WideningBf16 => {
                     let cfg = WideningGemmConfig::new(dim("m")?, dim("n")?, dim("k")?)
                         .map_err(|e| fail(&format!("invalid recorded configuration: {e}")))?
-                        .with_c_transfer(c_transfer)
-                        .with_k_unroll(k_unroll);
+                        .with_c_transfer(c_transfer);
                     AnyGemmConfig::WideningBf16(cfg)
                 }
             };
@@ -629,7 +609,17 @@ impl TelemetryRegistry {
     /// fsync + rename), with a checksum trailer, keeping the previous
     /// generation at `<path>.bak` (see [`sme_runtime::save_snapshot`]).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), TelemetryError> {
-        sme_runtime::save_snapshot(path.as_ref(), &self.to_json())?;
+        self.save_with_faults(path, None)
+    }
+
+    /// [`TelemetryRegistry::save`] through the fault-injection hooks of
+    /// `faults`.
+    pub fn save_with_faults(
+        &self,
+        path: impl AsRef<Path>,
+        faults: Option<&dyn FaultInjector>,
+    ) -> Result<(), TelemetryError> {
+        sme_runtime::save_snapshot(path.as_ref(), &self.to_json(), faults)?;
         Ok(())
     }
 
@@ -637,7 +627,7 @@ impl TelemetryRegistry {
     /// The checksum trailer is verified when present; trailer-less legacy
     /// documents still load.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, TelemetryError> {
-        match sme_runtime::read_snapshot(path.as_ref()) {
+        match sme_runtime::read_snapshot(path.as_ref(), None) {
             Ok(text) => TelemetryRegistry::from_json(&text),
             Err(sme_runtime::SnapshotError::Io(e)) => Err(TelemetryError::Io(e)),
             Err(sme_runtime::SnapshotError::Corrupt(msg)) => Err(TelemetryError::Format(msg)),
@@ -725,9 +715,18 @@ impl TelemetryRegistry {
     /// and a missing file is a fresh start. The [`RecoveredTelemetry`]
     /// says which rung served.
     pub fn load_recovered(path: impl AsRef<Path>, machine: &MachineConfig) -> RecoveredTelemetry {
+        TelemetryRegistry::load_recovered_with_faults(path, machine, None)
+    }
+
+    /// [`TelemetryRegistry::load_recovered`] through the fault-injection
+    /// hooks of `faults`.
+    pub fn load_recovered_with_faults(
+        path: impl AsRef<Path>,
+        machine: &MachineConfig,
+        faults: Option<&dyn FaultInjector>,
+    ) -> RecoveredTelemetry {
         let path = path.as_ref();
-        let recovered =
-            sme_runtime::load_with_recovery(path, |text| TelemetryRegistry::from_json(text));
+        let recovered = sme_runtime::load_with_recovery(path, faults, TelemetryRegistry::from_json);
         let source = recovered.source;
         let detail = recovered.detail;
         if let Some(d) = detail.as_deref() {
@@ -1083,14 +1082,14 @@ mod tests {
             ),
             (
                 r#"{"version": 1, "retention": 0.9, "shapes": [{"dtype": "Fp16",
-                    "m": 8, "n": 8, "k": 8, "c_transfer": "TwoStep", "k_unroll": 1}]}"#,
+                    "m": 8, "n": 8, "k": 8, "c_transfer": "TwoStep"}]}"#,
                 "unknown dtype",
             ),
             (
                 r#"{"version": 1, "retention": 0.9, "shapes": [{"dtype": "Fp32",
                     "m": 0, "n": 8, "k": 8, "lda": 8, "ldb": 8, "ldc": 8,
                     "b_layout": "RowMajor", "beta": "One", "c_transfer": "TwoStep",
-                    "k_unroll": 1, "requests": 1, "cycles": 1,
+                    "requests": 1, "cycles": 1,
                     "decayed_requests": 1, "decayed_cycles": 1, "sme_requests": 1,
                     "neon_requests": 0, "cache_hits": 1, "cache_misses": 0}]}"#,
                 "invalid recorded configuration",

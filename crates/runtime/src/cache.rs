@@ -23,6 +23,7 @@
 //! (the property the cache's tests and the runtime integration test rely
 //! on).
 
+use crate::fault::FaultInjector;
 use crate::pack::PackedOperandCache;
 use crate::store::{tune_key_any, PlanStore, TunedRecord};
 use serde::json::Value;
@@ -137,6 +138,7 @@ pub struct KernelCache {
     /// (see [`crate::pack`]); invalidated alongside the kernels.
     packs: PackedOperandCache,
     obs: OnceLock<ObsHandles>,
+    faults: OnceLock<Arc<dyn FaultInjector>>,
 }
 
 /// Pre-resolved observability handles so the fetch hot path pays atomic
@@ -191,6 +193,7 @@ impl KernelCache {
             // operand sets per cacheable kernel.
             packs: PackedOperandCache::new(capacity.max(1) * 4),
             obs: OnceLock::new(),
+            faults: OnceLock::new(),
         }
     }
 
@@ -223,6 +226,18 @@ impl KernelCache {
         self.obs.get().map(|o| &o.hub)
     }
 
+    /// Arm this cache — and every service dispatching through it — with a
+    /// fault injector (see [`crate::fault`]). Only the first attach wins;
+    /// other caches in the process stay disarmed.
+    pub fn attach_faults(&self, injector: Arc<dyn FaultInjector>) {
+        let _ = self.faults.set(injector);
+    }
+
+    /// The attached fault injector, if any.
+    pub(crate) fn faults(&self) -> Option<&dyn FaultInjector> {
+        self.faults.get().map(|f| f.as_ref())
+    }
+
     fn shard_for(&self, key: &CacheKey) -> &Mutex<Shard> {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
@@ -246,15 +261,7 @@ impl KernelCache {
             .lookup_any(cfg)
             .map(|record| record.candidate.backend)
             .unwrap_or(fallback);
-        let compilable = match (cfg, backend) {
-            (AnyGemmConfig::Fp32(c), Backend::Neon) => sme_gemm::neon_supports(c).is_ok(),
-            (AnyGemmConfig::Fp32(_), Backend::Sme) => true,
-            (AnyGemmConfig::WideningBf16(c), Backend::Sme) => {
-                sme_gemm::sme_widening_supports(c).is_ok()
-            }
-            (AnyGemmConfig::WideningBf16(_), Backend::Neon) => true,
-        };
-        if compilable {
+        if cfg.supported_by(backend) {
             backend
         } else {
             fallback
@@ -539,7 +546,7 @@ impl KernelCache {
 mod tests {
     use super::*;
     use crate::store::tune_key;
-    use sme_gemm::{KernelSchedule, PlanCandidate, PlanKind, ZaTransferStrategy};
+    use sme_gemm::{PlanCandidate, PlanKind, RegisterBlocking, ZaTransferStrategy};
 
     #[test]
     fn second_request_hits_without_compiling() {
@@ -630,13 +637,12 @@ mod tests {
         assert_eq!(cache.stats().tuned_compiles, 0);
 
         // Installing a winner invalidates and redirects the next compile.
+        let tuned_kind = PlanKind::Homogeneous(RegisterBlocking::B64x16);
         let record = TunedRecord {
             candidate: PlanCandidate {
                 backend: Backend::Sme,
-                kind: PlanKind::Heterogeneous,
+                kind: tuned_kind,
                 c_transfer: ZaTransferStrategy::Direct,
-                k_unroll: 4,
-                schedule: KernelSchedule::Serial,
             },
             tuned_cycles: 10.0,
             default_cycles: 20.0,
@@ -648,15 +654,28 @@ mod tests {
             tuned.fp32_config().unwrap().c_transfer,
             ZaTransferStrategy::Direct
         );
-        assert_eq!(tuned.fp32_config().unwrap().k_unroll, 4);
+        assert_eq!(tuned.as_sme().unwrap().plan(), &tuned_kind.build(40, 40));
         assert_eq!(cache.stats().tuned_compiles, 1);
         assert_eq!(cache.lookup_tuned(&cfg).unwrap(), record);
 
-        // A knob-variant of the same shape shares the tuned record…
-        let variant = cfg.with_k_unroll(2);
+        // A knob-variant of the same shape shares the tuned record: the
+        // tuned transfer wins over the request's own.
+        let record = TunedRecord {
+            candidate: PlanCandidate {
+                c_transfer: ZaTransferStrategy::TwoStep,
+                ..record.candidate
+            },
+            ..record
+        };
+        cache.install_tuned(&cfg, record);
+        let variant = cfg.with_c_transfer(ZaTransferStrategy::Direct);
         assert_eq!(tune_key(&variant), tune_key(&cfg));
         let tuned2 = cache.get_or_compile(&variant).unwrap();
-        assert_eq!(tuned2.fp32_config().unwrap().k_unroll, 4, "tuned knobs win");
+        assert_eq!(
+            tuned2.fp32_config().unwrap().c_transfer,
+            ZaTransferStrategy::TwoStep,
+            "tuned knobs win"
+        );
         // …and replace_store drops everything.
         cache.replace_store(PlanStore::new());
         assert!(cache.is_empty());
@@ -757,8 +776,6 @@ mod tests {
                     backend: Backend::Sme,
                     kind: PlanKind::Heterogeneous,
                     c_transfer: ZaTransferStrategy::TwoStep,
-                    k_unroll: 1,
-                    schedule: KernelSchedule::Serial,
                 },
                 tuned_cycles: 1.0,
                 default_cycles: 1.0,

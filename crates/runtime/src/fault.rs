@@ -2,10 +2,13 @@
 //!
 //! Production code asks two questions at well-known *sites* — "should this
 //! operation fail now?" ([`fire`]) and "should these bytes be corrupted?"
-//! ([`corrupt_bytes`]) — and both answer `false` unless a [`FaultInjector`]
-//! has been installed process-wide with [`install_injector`]. The fast path
-//! is a single relaxed atomic load, so production dispatch pays nothing for
-//! the hooks.
+//! ([`corrupt_bytes`]) — of the [`FaultInjector`] its owner carries. There
+//! is no process-wide injector: a `KernelCache` (and the service and router
+//! built on it) or a `PretuneDaemon` is armed by its own `attach_faults`,
+//! and the snapshot stores take the injector as an argument of their
+//! `*_with_faults` save/load calls. Two services in one process therefore
+//! never see each other's faults, and a disarmed owner pays one branch on
+//! `None`.
 //!
 //! The stock injector is [`FaultPlan`]: a *seeded, deterministic* schedule
 //! that counts occurrences per `(kind, site)` pair and fires each rule on an
@@ -22,8 +25,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// The kinds of fault the serving stack knows how to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,59 +92,15 @@ pub trait FaultInjector: Send + Sync + fmt::Debug {
     }
 }
 
-/// Fast-path arm flag: `false` means no injector has ever been installed
-/// (or it has been cleared) and [`fire`] returns immediately.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-fn injector_slot() -> &'static Mutex<Option<Arc<dyn FaultInjector>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<dyn FaultInjector>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
+/// Ask `faults` (if armed) whether `(kind, site)` should fail now.
+pub fn fire(faults: Option<&dyn FaultInjector>, kind: FaultKind, site: &str) -> bool {
+    faults.is_some_and(|f| f.should_fire(kind, site))
 }
 
-/// Install a process-wide fault injector. Replaces any previous injector.
-pub fn install_injector(injector: Arc<dyn FaultInjector>) {
-    let mut slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(injector);
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Remove the process-wide fault injector; subsequent [`fire`] calls are
-/// free again.
-pub fn clear_injector() {
-    let mut slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    *slot = None;
-    ARMED.store(false, Ordering::Release);
-}
-
-/// Is a fault injector currently installed?
-pub fn injection_armed() -> bool {
-    ARMED.load(Ordering::Acquire)
-}
-
-/// Ask the installed injector (if any) whether `(kind, site)` should fail
-/// now. Production fast path: one relaxed atomic load when disarmed.
-pub fn fire(kind: FaultKind, site: &str) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    match slot.as_ref() {
-        Some(injector) => injector.should_fire(kind, site),
-        None => false,
-    }
-}
-
-/// Ask the installed injector (if any) to corrupt bytes about to be written
-/// at `site`. Returns `true` if the buffer was changed.
-pub fn corrupt_bytes(site: &str, bytes: &mut [u8]) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    match slot.as_ref() {
-        Some(injector) => injector.corrupt(site, bytes),
-        None => false,
-    }
+/// Ask `faults` (if armed) to corrupt bytes about to be written at `site`.
+/// Returns `true` if the buffer was changed.
+pub fn corrupt_bytes(faults: Option<&dyn FaultInjector>, site: &str, bytes: &mut [u8]) -> bool {
+    faults.is_some_and(|f| f.corrupt(site, bytes))
 }
 
 /// How a [`FaultRule`] selects sites.
@@ -375,10 +333,19 @@ mod tests {
 
     #[test]
     fn disarmed_global_hooks_never_fire() {
-        clear_injector();
-        assert!(!fire(FaultKind::GroupPanic, "anywhere"));
+        assert!(!fire(None, FaultKind::GroupPanic, "anywhere"));
         let mut bytes = vec![1, 2, 3];
-        assert!(!corrupt_bytes("anywhere", &mut bytes));
+        assert!(!corrupt_bytes(None, "anywhere", &mut bytes));
         assert_eq!(bytes, vec![1, 2, 3]);
+        // An armed injector answers through the same hooks.
+        let plan = FaultPlan::with_rules(
+            0,
+            vec![FaultRule {
+                kind: FaultKind::GroupPanic,
+                pattern: SitePattern::Any,
+                occurrence: 1,
+            }],
+        );
+        assert!(fire(Some(&plan), FaultKind::GroupPanic, "anywhere"));
     }
 }

@@ -17,9 +17,9 @@
 //!   that reuses materialised operand images across dispatches of the
 //!   same operands (keyed by operand identity × layout × datatype, with
 //!   invalidation wired into the kernel cache's invalidation paths);
-//! * [`tuner`] — an autotuner that enumerates the candidate block plans,
-//!   ZA-transfer strategies and unroll factors **across both backends and
-//!   both datatypes** ([`sme_gemm::enumerate_any_candidates`]), prunes
+//! * [`tuner`] — an autotuner that enumerates the candidate block plans and
+//!   ZA-transfer strategies **across both backends and both datatypes**
+//!   ([`sme_gemm::enumerate_any_candidates`]), prunes
 //!   analytically dominated FP32 plans
 //!   ([`sme_gemm::prune_dominated_candidates`]), scores the rest by
 //!   simulated cycles on the `sme-machine` timing model, and persists
@@ -82,10 +82,7 @@ pub mod tuner;
 
 pub use cache::{CacheStats, KernelCache};
 pub use error::ServeError;
-pub use fault::{
-    clear_injector, install_injector, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule,
-    SitePattern,
-};
+pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule, SitePattern};
 pub use pack::{PackLayout, PackStats, PackedOperandCache};
 pub use persist::{
     backup_path, load_with_recovery, read_snapshot, save_snapshot, Recovered, SnapshotError,

@@ -22,11 +22,12 @@
 //! assert that recovery restored *real* state rather than silently starting
 //! empty.
 //!
-//! Both save and read are fault-injection points ([`crate::fault`]):
-//! `SaveIo` / `LoadIo` rules fail them outright, and an injector may flip
-//! bytes in flight to simulate media corruption.
+//! Both save and read are fault-injection points ([`crate::fault`]): when
+//! the caller passes an injector, `SaveIo` / `LoadIo` rules fail them
+//! outright, and the injector may flip bytes in flight to simulate media
+//! corruption.
 
-use crate::fault::{self, FaultKind};
+use crate::fault::{self, FaultInjector, FaultKind};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -105,17 +106,19 @@ impl std::error::Error for SnapshotError {}
 ///
 /// Write order: temp file + fsync, rotate current → `.bak`, rename temp →
 /// current, best-effort directory fsync. A crash between any two steps
-/// leaves a loadable generation on disk.
-pub fn save_snapshot(path: &Path, payload: &str) -> io::Result<()> {
+/// leaves a loadable generation on disk. `faults`, when armed, may fail
+/// the save or corrupt the bytes written.
+pub fn save_snapshot(
+    path: &Path,
+    payload: &str,
+    faults: Option<&dyn FaultInjector>,
+) -> io::Result<()> {
     let site = path.to_string_lossy().into_owned();
-    if fault::fire(FaultKind::SaveIo, &site) {
-        return Err(io::Error::new(
-            io::ErrorKind::Other,
-            format!("injected save fault at {site}"),
-        ));
+    if fault::fire(faults, FaultKind::SaveIo, &site) {
+        return Err(io::Error::other(format!("injected save fault at {site}")));
     }
     let mut bytes = with_trailer(payload).into_bytes();
-    fault::corrupt_bytes(&site, &mut bytes);
+    fault::corrupt_bytes(faults, &site, &mut bytes);
 
     let tmp = temp_path(path);
     {
@@ -143,13 +146,16 @@ pub fn save_snapshot(path: &Path, payload: &str) -> io::Result<()> {
 /// Files without a trailer are returned whole (legacy documents predating
 /// the trailer, and hand-written fixtures). Files *with* a trailer must
 /// match it exactly, otherwise [`SnapshotError::Corrupt`] is returned.
-pub fn read_snapshot(path: &Path) -> Result<String, SnapshotError> {
+/// `faults`, when armed, may fail the read.
+pub fn read_snapshot(
+    path: &Path,
+    faults: Option<&dyn FaultInjector>,
+) -> Result<String, SnapshotError> {
     let site = path.to_string_lossy().into_owned();
-    if fault::fire(FaultKind::LoadIo, &site) {
-        return Err(SnapshotError::Io(io::Error::new(
-            io::ErrorKind::Other,
-            format!("injected load fault at {site}"),
-        )));
+    if fault::fire(faults, FaultKind::LoadIo, &site) {
+        return Err(SnapshotError::Io(io::Error::other(format!(
+            "injected load fault at {site}"
+        ))));
     }
     let text = fs::read_to_string(path).map_err(SnapshotError::Io)?;
     strip_verified(&text).map_err(SnapshotError::Corrupt)
@@ -248,8 +254,12 @@ enum Attempt<T> {
     Bad(String),
 }
 
-fn attempt<T, E: fmt::Display>(path: &Path, parse: &impl Fn(&str) -> Result<T, E>) -> Attempt<T> {
-    match read_snapshot(path) {
+fn attempt<T, E: fmt::Display>(
+    path: &Path,
+    faults: Option<&dyn FaultInjector>,
+    parse: &impl Fn(&str) -> Result<T, E>,
+) -> Attempt<T> {
+    match read_snapshot(path, faults) {
         Ok(payload) => match parse(&payload) {
             Ok(value) => Attempt::Ok(value),
             Err(e) => Attempt::Bad(format!("{}: {e}", path.display())),
@@ -265,12 +275,13 @@ fn attempt<T, E: fmt::Display>(path: &Path, parse: &impl Fn(&str) -> Result<T, E
 /// it cannot be read, fails its checksum trailer, or fails `parse`. The
 /// caller applies any semantic staleness check (machine fingerprints) on
 /// the returned value — staleness is *not* corruption and must not trigger
-/// backup recovery.
+/// backup recovery. `faults` is handed to every [`read_snapshot`].
 pub fn load_with_recovery<T, E: fmt::Display>(
     path: &Path,
+    faults: Option<&dyn FaultInjector>,
     parse: impl Fn(&str) -> Result<T, E>,
 ) -> Recovered<T> {
-    match attempt(path, &parse) {
+    match attempt(path, faults, &parse) {
         Attempt::Ok(value) => Recovered {
             value: Some(value),
             source: SnapshotSource::Primary,
@@ -282,7 +293,7 @@ pub fn load_with_recovery<T, E: fmt::Display>(
                 Attempt::Bad(msg) => Some(msg),
                 _ => None,
             };
-            match attempt(&backup_path(path), &parse) {
+            match attempt(&backup_path(path), faults, &parse) {
                 Attempt::Ok(value) => Recovered {
                     value: Some(value),
                     source: SnapshotSource::Backup,
@@ -365,11 +376,11 @@ mod tests {
     fn save_rotates_the_previous_generation() {
         let dir = tmp_dir("rotate");
         let path = dir.join("store.json");
-        save_snapshot(&path, "gen-1").expect("first save");
-        save_snapshot(&path, "gen-2").expect("second save");
-        assert_eq!(read_snapshot(&path).expect("primary"), "gen-2\n");
+        save_snapshot(&path, "gen-1", None).expect("first save");
+        save_snapshot(&path, "gen-2", None).expect("second save");
+        assert_eq!(read_snapshot(&path, None).expect("primary"), "gen-2\n");
         assert_eq!(
-            read_snapshot(&backup_path(&path)).expect("backup"),
+            read_snapshot(&backup_path(&path), None).expect("backup"),
             "gen-1\n"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -387,13 +398,13 @@ mod tests {
             }
         };
 
-        let fresh = load_with_recovery(&path, parse);
+        let fresh = load_with_recovery(&path, None, parse);
         assert_eq!(fresh.source, SnapshotSource::Missing);
         assert!(fresh.value.is_none());
 
-        save_snapshot(&path, "gen-1").expect("save");
-        save_snapshot(&path, "gen-2").expect("save");
-        let ok = load_with_recovery(&path, parse);
+        save_snapshot(&path, "gen-1", None).expect("save");
+        save_snapshot(&path, "gen-2", None).expect("save");
+        let ok = load_with_recovery(&path, None, parse);
         assert_eq!(ok.source, SnapshotSource::Primary);
         assert_eq!(ok.value.as_deref(), Some("gen-2"));
 
@@ -402,7 +413,7 @@ mod tests {
         let mut bytes = fs::read(&path).expect("read");
         bytes[1] ^= 0x40;
         fs::write(&path, &bytes).expect("rewrite");
-        let recovered = load_with_recovery(&path, parse);
+        let recovered = load_with_recovery(&path, None, parse);
         assert_eq!(recovered.source, SnapshotSource::Backup);
         assert_eq!(recovered.value.as_deref(), Some("gen-1"));
         assert!(recovered.detail.is_some());
@@ -413,7 +424,7 @@ mod tests {
         let pos = bak.len() / 2;
         bak[pos] ^= 0x40;
         fs::write(backup_path(&path), &bak).expect("rewrite bak");
-        let empty = load_with_recovery(&path, parse);
+        let empty = load_with_recovery(&path, None, parse);
         assert_eq!(empty.source, SnapshotSource::Empty);
         assert!(empty.value.is_none());
         assert!(empty.detail.is_some());
@@ -426,10 +437,10 @@ mod tests {
         // → current": only the .bak generation exists.
         let dir = tmp_dir("torn");
         let path = dir.join("store.json");
-        save_snapshot(&path, "gen-1").expect("save");
+        save_snapshot(&path, "gen-1", None).expect("save");
         fs::rename(&path, backup_path(&path)).expect("simulate torn rotation");
         let parse = |s: &str| -> Result<String, String> { Ok(s.trim().to_string()) };
-        let recovered = load_with_recovery(&path, parse);
+        let recovered = load_with_recovery(&path, None, parse);
         assert_eq!(recovered.source, SnapshotSource::Backup);
         assert_eq!(recovered.value.as_deref(), Some("gen-1"));
         let _ = fs::remove_dir_all(&dir);

@@ -94,8 +94,20 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    // The recovery counter is process-wide and these are the only tests in
+    // this suite that poison a lock, so they take turns on `COUNTER_LOCK`
+    // to assert exact deltas while the harness runs tests in parallel.
+    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+    fn counter_turn() -> MutexGuard<'static, ()> {
+        COUNTER_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn poisoned_mutexes_are_recovered_and_counted() {
+        let _turn = counter_turn();
         let mutex = Arc::new(Mutex::new(41));
         let clone = Arc::clone(&mutex);
         let _ = std::thread::spawn(move || {
@@ -107,18 +119,22 @@ mod tests {
 
         let before = recovered_total();
         {
-            let mut guard = lock(&mutex, "test-mutex");
+            let (mut guard, recovered) = lock_recovering(&mutex, "test-mutex");
+            assert!(recovered, "this call recovered the poison");
             *guard += 1;
         }
         assert_eq!(recovered_total(), before + 1);
         assert!(!mutex.is_poisoned(), "poison flag must be cleared");
         // Later lockers see a healthy lock and the data survives.
-        assert_eq!(*lock(&mutex, "test-mutex"), 42);
+        let (guard, recovered) = lock_recovering(&mutex, "test-mutex");
+        assert_eq!(*guard, 42);
+        assert!(!recovered, "healthy locks are free");
         assert_eq!(recovered_total(), before + 1, "healthy locks are free");
     }
 
     #[test]
     fn poisoned_rwlocks_are_recovered_on_both_paths() {
+        let _turn = counter_turn();
         let rw = Arc::new(RwLock::new(vec![1, 2, 3]));
         let clone = Arc::clone(&rw);
         let _ = std::thread::spawn(move || {
@@ -131,6 +147,7 @@ mod tests {
         let before = recovered_total();
         assert_eq!(read(&rw, "test-rwlock").len(), 3);
         assert_eq!(recovered_total(), before + 1);
+        assert!(!rw.is_poisoned(), "the read path clears the poison");
         write(&rw, "test-rwlock").push(4);
         assert_eq!(read(&rw, "test-rwlock").len(), 4);
         assert_eq!(recovered_total(), before + 1, "cleared poison stays clear");

@@ -353,10 +353,11 @@ impl GemmService {
                             config.n(),
                             config.k()
                         );
-                        if fault::fire(FaultKind::GroupPanic, &site) {
+                        let faults = self.cache.faults();
+                        if fault::fire(faults, FaultKind::GroupPanic, &site) {
                             panic!("sme-fault-injected: group panic at {site}");
                         }
-                        if fault::fire(FaultKind::CompileFail, &site) {
+                        if fault::fire(faults, FaultKind::CompileFail, &site) {
                             return Err(ServeError::Compile {
                                 backend,
                                 detail: format!("injected compile failure at {site}"),
@@ -705,12 +706,12 @@ mod tests {
                 },
             ],
         ));
-        crate::fault::install_injector(plan);
+        service.cache().attach_faults(plan);
         // Batch 1: the SME group panics mid-dispatch; batch 2: its compile
-        // is forced to fail. Both are served by the Neon fallback.
+        // is forced to fail. Both are served by the Neon fallback. Both
+        // rules fire once, so batch 3 runs healthy.
         let panicked = service.dispatch(&requests).unwrap();
         let compile_failed = service.dispatch(&requests).unwrap();
-        crate::fault::clear_injector();
         let healthy = service.dispatch(&requests).unwrap();
 
         for (label, report) in [("panic", &panicked), ("compile", &compile_failed)] {
@@ -735,6 +736,58 @@ mod tests {
         // And the error ladder is visible in the panic case's span-free
         // sibling: a clean SME run still bit-matches the FP32 reference.
         assert_eq!(healthy.outputs[0], reference_output(&requests[0]));
+    }
+
+    #[test]
+    fn an_armed_service_never_injects_into_a_clean_one() {
+        use crate::fault::{FaultInjector, FaultKind};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Panics every SME group it is asked about, and counts the asks.
+        #[derive(Debug, Default)]
+        struct PanicEverySmeGroup(AtomicU64);
+        impl FaultInjector for PanicEverySmeGroup {
+            fn should_fire(&self, kind: FaultKind, site: &str) -> bool {
+                let fire = kind == FaultKind::GroupPanic && site.contains(":Sme:");
+                if fire {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+                fire
+            }
+        }
+
+        let injector = Arc::new(PanicEverySmeGroup::default());
+        let armed = GemmService::new(16);
+        armed.cache().attach_faults(injector.clone());
+        let clean = GemmService::new(16);
+        let requests = [
+            GemmRequest::fp32(GemmConfig::abt(32, 32, 8), 1),
+            GemmRequest::fp32(GemmConfig::abt(16, 16, 4), 2),
+        ];
+        std::thread::scope(|scope| {
+            let armed = scope.spawn(|| {
+                for _ in 0..8 {
+                    let report = armed.dispatch(&requests).unwrap();
+                    assert!(report.failures.is_empty());
+                    assert_eq!(report.degraded_groups(), 2, "every SME group falls back");
+                }
+            });
+            for _ in 0..8 {
+                let report = clean.dispatch(&requests).unwrap();
+                assert!(report.failures.is_empty());
+                assert_eq!(
+                    report.degraded_groups(),
+                    0,
+                    "the clean service sees no fault"
+                );
+                for (request, output) in requests.iter().zip(&report.outputs) {
+                    assert_eq!(output, &reference_output(request));
+                }
+            }
+            armed.join().unwrap();
+        });
+        assert_eq!(injector.0.load(Ordering::Relaxed), 16);
+        assert!(clean.cache().faults().is_none());
     }
 
     #[test]

@@ -12,28 +12,25 @@
 //! to re-derive the plan deterministically, which keeps the document tiny
 //! and immune to staleness in the block geometry itself.
 
+use crate::fault::FaultInjector;
 use serde::Serialize;
 use sme_gemm::{
-    AnyGemmConfig, BLayout, Backend, Beta, Dtype, GemmConfig, KernelSchedule, PlanCandidate,
-    PlanKind, WideningGemmConfig, ZaTransferStrategy,
+    AnyGemmConfig, BLayout, Backend, Beta, Dtype, GemmConfig, PlanCandidate, PlanKind,
+    WideningGemmConfig, ZaTransferStrategy,
 };
 use sme_machine::MachineConfig;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
-/// Version stamp written into the JSON document. Version 4 added the
-/// kernel-schedule dimension: entries carry a `schedule` tag (`"Serial"`
-/// or `"Pipelined"`; absent means serial, so hand-trimmed documents stay
-/// loadable). Version 3 made the datatype a first-class dimension: entries
-/// carry a `dtype` tag (`"Fp32"` or `"WideningBf16"`), and widening
-/// entries omit the FP32-only fields (`lda`/`ldb`/`ldc`/`b_layout`/
-/// `beta`). Version 2 added the per-entry `backend` tag and the optional
-/// `machine_fingerprint` stamp. Version-3, -2 and -1 documents still load
-/// (their entries are implicitly serial; version-2 and -1 entries are
-/// additionally implicitly FP32, and version-1 entries implicitly SME and
-/// unstamped).
-pub const PLAN_STORE_VERSION: u64 = 4;
+/// Version stamp written into the JSON document, and the only version
+/// [`PlanStore::from_json`] accepts. Every entry carries a `dtype` tag
+/// (`"Fp32"` or `"WideningBf16"`), the winning `backend`, `plan` and
+/// `c_transfer`; widening entries write `null` for the FP32-only fields
+/// (`lda`/`ldb`/`ldc`/`b_layout`/`beta`). A document of any other version
+/// is rejected, so [`PlanStore::load_recovered`] serves an empty store and
+/// the shapes are simply re-tuned.
+pub const PLAN_STORE_VERSION: u64 = 5;
 
 /// The tuning result stored for one normalized configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,8 +89,8 @@ pub enum FingerprintCheck {
     /// The store was tuned on a machine model with identical timing
     /// parameters — its winners are trustworthy.
     Match,
-    /// The store carries no fingerprint (version-1 document or built in
-    /// memory without [`PlanStore::stamp`]).
+    /// The store carries no fingerprint (saved or built in memory without
+    /// [`PlanStore::stamp`]).
     Unstamped,
     /// The store was tuned against different timing parameters; its winners
     /// may be stale.
@@ -113,13 +110,11 @@ pub struct PlanStore {
     machine_fingerprint: Option<u64>,
 }
 
-/// Normalize an FP32 configuration to its tuning key: the tunable knobs
-/// (`c_transfer`, `k_unroll`, `schedule`) are reset to fixed values so
-/// that requests differing only in those knobs share one tuned winner.
+/// Normalize an FP32 configuration to its tuning key: the tunable knob
+/// (`c_transfer`) is reset to a fixed value so that requests differing
+/// only in it share one tuned winner.
 pub fn tune_key(cfg: &GemmConfig) -> GemmConfig {
     cfg.with_c_transfer(ZaTransferStrategy::TwoStep)
-        .with_k_unroll(1)
-        .with_schedule(KernelSchedule::Serial)
 }
 
 /// Normalize a configuration of either datatype to its tuning key (the
@@ -127,10 +122,9 @@ pub fn tune_key(cfg: &GemmConfig) -> GemmConfig {
 pub fn tune_key_any(cfg: &AnyGemmConfig) -> AnyGemmConfig {
     match cfg {
         AnyGemmConfig::Fp32(c) => AnyGemmConfig::Fp32(tune_key(c)),
-        AnyGemmConfig::WideningBf16(c) => AnyGemmConfig::WideningBf16(
-            c.with_c_transfer(ZaTransferStrategy::TwoStep)
-                .with_k_unroll(1),
-        ),
+        AnyGemmConfig::WideningBf16(c) => {
+            AnyGemmConfig::WideningBf16(c.with_c_transfer(ZaTransferStrategy::TwoStep))
+        }
     }
 }
 
@@ -176,7 +170,7 @@ impl PlanStore {
     /// returned store is empty but stamped for `machine`, so callers
     /// re-tune (and re-persist) instead of silently dispatching plans tuned
     /// for a different calibration — and a warning naming both fingerprints
-    /// is printed to stderr. Unstamped (version-1) stores load as-is with
+    /// is printed to stderr. Unstamped stores load as-is with
     /// [`FingerprintCheck::Unstamped`]; the caller decides whether to trust
     /// them.
     ///
@@ -282,8 +276,6 @@ impl PlanStore {
             backend: String,
             plan: String,
             c_transfer: ZaTransferStrategy,
-            k_unroll: usize,
-            schedule: String,
             tuned_cycles: f64,
             default_cycles: f64,
         }
@@ -314,8 +306,6 @@ impl PlanStore {
                         backend: r.candidate.backend.name().to_string(),
                         plan: r.candidate.kind.name().to_string(),
                         c_transfer: r.candidate.c_transfer,
-                        k_unroll: r.candidate.k_unroll,
-                        schedule: r.candidate.schedule.name().to_string(),
                         tuned_cycles: r.tuned_cycles,
                         default_cycles: r.default_cycles,
                     };
@@ -336,21 +326,20 @@ impl PlanStore {
         serde_json::to_string_pretty(&doc).expect("shim serialization is total")
     }
 
-    /// Parse a document produced by [`PlanStore::to_json`] (or by the
-    /// version-1/-2 formats, whose entries are implicitly FP32).
+    /// Parse a document produced by [`PlanStore::to_json`].
     pub fn from_json(text: &str) -> Result<Self, PlanStoreError> {
         let fail = |msg: &str| PlanStoreError::Format(msg.to_string());
         let doc = serde_json::from_str(text)
             .map_err(|e| PlanStoreError::Format(format!("invalid JSON: {e}")))?;
-        let version = match doc.get("version").and_then(|v| v.as_u64()) {
-            Some(v @ (1 | 2 | 3 | PLAN_STORE_VERSION)) => v,
+        match doc.get("version").and_then(|v| v.as_u64()) {
+            Some(PLAN_STORE_VERSION) => {}
             Some(other) => {
                 return Err(PlanStoreError::Format(format!(
                     "unsupported plan store version {other} (expected {PLAN_STORE_VERSION})"
                 )))
             }
             None => return Err(fail("missing `version` field")),
-        };
+        }
         let machine_fingerprint = match doc.get("machine_fingerprint") {
             None | Some(serde_json::Value::Null) => None,
             Some(v) => {
@@ -388,14 +377,9 @@ impl PlanStore {
                     .and_then(|v| v.as_f64())
                     .ok_or_else(|| fail(&format!("entry missing number field `{name}`")))
             };
-            // Versions 1 and 2 predate the datatype dimension: every entry
-            // is an FP32 winner.
-            let dtype = if version < 3 {
-                Dtype::Fp32
-            } else {
-                let name = text_field("dtype")?;
-                Dtype::from_name(name).ok_or_else(|| fail(&format!("unknown dtype `{name}`")))?
-            };
+            let dtype_name = text_field("dtype")?;
+            let dtype = Dtype::from_name(dtype_name)
+                .ok_or_else(|| fail(&format!("unknown dtype `{dtype_name}`")))?;
             let c_transfer = match text_field("c_transfer")? {
                 "Direct" => ZaTransferStrategy::Direct,
                 "TwoStep" => ZaTransferStrategy::TwoStep,
@@ -404,33 +388,9 @@ impl PlanStore {
             let plan_name = text_field("plan")?;
             let kind = PlanKind::from_name(plan_name)
                 .ok_or_else(|| fail(&format!("unknown plan kind `{plan_name}`")))?;
-            // Version-1 documents predate multi-backend dispatch: every
-            // entry is an SME winner.
-            let backend = if version == 1 {
-                Backend::Sme
-            } else {
-                let name = text_field("backend")?;
-                Backend::from_name(name)
-                    .ok_or_else(|| fail(&format!("unknown backend `{name}`")))?
-            };
-            let k_unroll = dim("k_unroll")?;
-            if !matches!(k_unroll, 1 | 2 | 4) {
-                return Err(fail(&format!(
-                    "invalid stored k_unroll {k_unroll} (supported: 1, 2, 4)"
-                )));
-            }
-            // Versions 1–3 predate the schedule dimension; an absent tag in
-            // a v4 document also means serial, so trimmed documents load.
-            let schedule = match entry.get("schedule") {
-                None | Some(serde_json::Value::Null) => KernelSchedule::Serial,
-                Some(v) => {
-                    let name = v
-                        .as_str()
-                        .ok_or_else(|| fail("`schedule` must be a string"))?;
-                    KernelSchedule::from_name(name)
-                        .ok_or_else(|| fail(&format!("unknown schedule `{name}`")))?
-                }
-            };
+            let backend_name = text_field("backend")?;
+            let backend = Backend::from_name(backend_name)
+                .ok_or_else(|| fail(&format!("unknown backend `{backend_name}`")))?;
             let key = match dtype {
                 Dtype::Fp32 => {
                     let b_layout = match text_field("b_layout")? {
@@ -453,8 +413,6 @@ impl PlanStore {
                         b_layout,
                         beta,
                         c_transfer: ZaTransferStrategy::TwoStep,
-                        k_unroll: 1,
-                        schedule: KernelSchedule::Serial,
                     };
                     key.validate()
                         .map_err(|e| fail(&format!("invalid stored configuration: {e}")))?;
@@ -514,8 +472,6 @@ impl PlanStore {
                     backend,
                     kind,
                     c_transfer,
-                    k_unroll,
-                    schedule,
                 },
                 tuned_cycles: cycles("tuned_cycles")?,
                 default_cycles: cycles("default_cycles")?,
@@ -530,7 +486,16 @@ impl PlanStore {
     /// rename), with a checksum trailer, keeping the previous generation at
     /// `<path>.bak` (see [`crate::persist::save_snapshot`]).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PlanStoreError> {
-        crate::persist::save_snapshot(path.as_ref(), &self.to_json())?;
+        self.save_with_faults(path, None)
+    }
+
+    /// [`PlanStore::save`] through the fault-injection hooks of `faults`.
+    pub fn save_with_faults(
+        &self,
+        path: impl AsRef<Path>,
+        faults: Option<&dyn FaultInjector>,
+    ) -> Result<(), PlanStoreError> {
+        crate::persist::save_snapshot(path.as_ref(), &self.to_json(), faults)?;
         Ok(())
     }
 
@@ -538,7 +503,7 @@ impl PlanStore {
     /// checksum trailer is verified when present; trailer-less legacy
     /// documents still load.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PlanStoreError> {
-        match crate::persist::read_snapshot(path.as_ref()) {
+        match crate::persist::read_snapshot(path.as_ref(), None) {
             Ok(text) => PlanStore::from_json(&text),
             Err(crate::persist::SnapshotError::Io(e)) => Err(PlanStoreError::Io(e)),
             Err(crate::persist::SnapshotError::Corrupt(msg)) => Err(PlanStoreError::Format(msg)),
@@ -555,8 +520,18 @@ impl PlanStore {
     /// mismatch) discards to an empty re-stamped store, and a missing file
     /// is a fresh start. The [`RecoveredStore`] says which rung served.
     pub fn load_recovered(path: impl AsRef<Path>, machine: &MachineConfig) -> RecoveredStore {
+        PlanStore::load_recovered_with_faults(path, machine, None)
+    }
+
+    /// [`PlanStore::load_recovered`] through the fault-injection hooks of
+    /// `faults`.
+    pub fn load_recovered_with_faults(
+        path: impl AsRef<Path>,
+        machine: &MachineConfig,
+        faults: Option<&dyn FaultInjector>,
+    ) -> RecoveredStore {
         let path = path.as_ref();
-        let recovered = crate::persist::load_with_recovery(path, |text| PlanStore::from_json(text));
+        let recovered = crate::persist::load_with_recovery(path, faults, PlanStore::from_json);
         let source = recovered.source;
         let detail = recovered.detail;
         if let Some(d) = detail.as_deref() {
@@ -622,8 +597,6 @@ mod tests {
                 backend: Backend::Sme,
                 kind,
                 c_transfer: ZaTransferStrategy::Direct,
-                k_unroll: 2,
-                schedule: KernelSchedule::Pipelined,
             },
             tuned_cycles: 1200.5,
             default_cycles: 1500.25,
@@ -636,8 +609,6 @@ mod tests {
                 backend: Backend::Sme,
                 kind: PlanKind::Homogeneous(RegisterBlocking::B32x32),
                 c_transfer: ZaTransferStrategy::TwoStep,
-                k_unroll: 2,
-                schedule: KernelSchedule::Serial,
             },
             tuned_cycles: 800.0,
             default_cycles: 900.0,
@@ -649,20 +620,15 @@ mod tests {
         let mut store = PlanStore::new();
         let cfg = GemmConfig::abt(64, 48, 32);
         store.insert(&cfg, sample_record(PlanKind::Heterogeneous));
-        // A request differing only in the tunable knobs hits the same record.
-        let variant = cfg
-            .with_c_transfer(ZaTransferStrategy::Direct)
-            .with_k_unroll(4);
+        // A request differing only in the tunable knob hits the same record.
+        let variant = cfg.with_c_transfer(ZaTransferStrategy::Direct);
         assert!(store.lookup(&variant).is_some());
         // A different shape does not.
         assert!(store.lookup(&GemmConfig::abt(64, 48, 33)).is_none());
         // The same is true across the widening family.
         let wide = WideningGemmConfig::new(32, 32, 8).unwrap();
         store.insert_any(&wide.into(), widening_record());
-        let variant: AnyGemmConfig = wide
-            .with_c_transfer(ZaTransferStrategy::Direct)
-            .with_k_unroll(4)
-            .into();
+        let variant: AnyGemmConfig = wide.with_c_transfer(ZaTransferStrategy::Direct).into();
         assert!(store.lookup_any(&variant).is_some());
         // Dtypes never alias: the FP32 record for the same shape is
         // separate.
@@ -690,15 +656,16 @@ mod tests {
             rec.candidate.kind,
             PlanKind::Homogeneous(RegisterBlocking::B16x64)
         );
-        assert_eq!(rec.candidate.k_unroll, 2);
+        assert_eq!(rec.candidate.c_transfer, ZaTransferStrategy::Direct);
         assert_eq!(rec.tuned_cycles, 1200.5);
         assert!((rec.speedup() - 1500.25 / 1200.5).abs() < 1e-12);
     }
 
     #[test]
     fn mixed_v3_documents_round_trip_with_dtype_tags() {
-        // The v3 migration satellite: a store carrying both datatype
-        // families serializes with dtype tags and reloads identically.
+        // Dtype tags date from format v3 and are still written: a store
+        // carrying both datatype families and both backends serializes
+        // with dtype tags and reloads identically.
         let mut store = PlanStore::new();
         store.insert(
             &GemmConfig::abt(64, 64, 32),
@@ -714,15 +681,13 @@ mod tests {
                     backend: Backend::Neon,
                     kind: PlanKind::Homogeneous(RegisterBlocking::B32x32),
                     c_transfer: ZaTransferStrategy::TwoStep,
-                    k_unroll: 1,
-                    schedule: KernelSchedule::Serial,
                 },
                 tuned_cycles: 50.0,
                 default_cycles: 50.0,
             },
         );
         let json = store.to_json();
-        assert!(json.contains("\"version\": 4"));
+        assert!(json.contains(&format!("\"version\": {PLAN_STORE_VERSION}")));
         assert!(json.contains("\"dtype\": \"Fp32\""));
         assert!(json.contains("\"dtype\": \"WideningBf16\""));
         // Widening entries have no FP32 layout fields.
@@ -746,27 +711,35 @@ mod tests {
     }
 
     #[test]
-    fn version_two_documents_load_as_fp32() {
-        // The v2 migration satellite: a pre-dtype document loads, its
-        // entries implicitly FP32, and its winners are honoured.
-        let v2 = r#"{"version": 2, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-            "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-            "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",
-            "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
-        let store = PlanStore::from_json(v2).unwrap();
-        assert_eq!(store.len(), 1);
-        let rec = store.lookup(&GemmConfig::abt(48, 48, 16)).unwrap();
-        assert_eq!(rec.candidate.backend, Backend::Sme);
+    fn older_documents_recover_as_an_empty_store() {
+        // A document of an earlier format version is not migrated: the
+        // recovery ladder rejects both generations, reports why, and
+        // serves an empty store stamped for the current machine, so the
+        // shapes are re-tuned.
+        use crate::persist::SnapshotSource;
+        let machine = MachineConfig::apple_m4();
+        let path = std::env::temp_dir().join(format!(
+            "sme_runtime_old_version_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            r#"{"version": 4, "entries": [{"dtype": "Fp32", "m": 48, "n": 48, "k": 16,
+                "lda": 48, "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
+                "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",
+                "tuned_cycles": 100, "default_cycles": 150}]}"#,
+        )
+        .unwrap();
+        let recovered = PlanStore::load_recovered(&path, &machine);
+        assert!(recovered.store.is_empty());
+        assert_eq!(recovered.source, SnapshotSource::Empty);
         assert_eq!(
-            rec.candidate.kind,
-            PlanKind::Homogeneous(RegisterBlocking::B16x64)
+            recovered.store.machine_fingerprint(),
+            Some(machine.fingerprint())
         );
-        assert_eq!(rec.candidate.c_transfer, ZaTransferStrategy::Direct);
-        // Re-serializing upgrades the document to v4 with an explicit tag.
-        let upgraded = store.to_json();
-        assert!(upgraded.contains("\"version\": 4"));
-        assert!(upgraded.contains("\"dtype\": \"Fp32\""));
-        assert_eq!(PlanStore::from_json(&upgraded).unwrap(), store);
+        let detail = recovered.detail.expect("the rejection is explained");
+        assert!(detail.contains("version 4"), "{detail}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -785,7 +758,7 @@ mod tests {
         let a = store.to_json();
         let b = store.clone().to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"version\": 4"));
+        assert!(a.contains(&format!("\"version\": {PLAN_STORE_VERSION}")));
         // Sorted by dtype then shape: 32 before 64 before 96, widening last.
         let p32 = a.find("\"m\": 32").unwrap();
         let p64 = a.find("\"m\": 64").unwrap();
@@ -796,156 +769,83 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected_with_context() {
+        // A valid one-entry FP32 document; each case corrupts one field.
+        let fp32 = r#"{"version": 5, "entries": [{"dtype": "Fp32", "m": 8, "n": 8, "k": 8,
+            "lda": 8, "ldb": 8, "ldc": 8, "b_layout": "RowMajor", "beta": "One",
+            "backend": "Sme", "plan": "Heterogeneous", "c_transfer": "TwoStep",
+            "tuned_cycles": 1, "default_cycles": 1}]}"#;
+        assert_eq!(PlanStore::from_json(fp32).unwrap().len(), 1);
+        let widening = |m: usize, k: usize, backend: &str, plan: &str| {
+            format!(
+                r#"{{"version": 5, "entries": [{{"dtype": "WideningBf16", "m": {m}, "n": 32,
+                   "k": {k}, "backend": "{backend}", "plan": "{plan}",
+                   "c_transfer": "TwoStep", "tuned_cycles": 1, "default_cycles": 1}}]}}"#
+            )
+        };
         let cases = [
-            ("not json", "invalid JSON"),
-            ("{}", "version"),
-            (r#"{"version": 5, "entries": []}"#, "version 5"),
-            (r#"{"version": 1}"#, "entries"),
-            (r#"{"version": 1, "entries": [{}]}"#, "missing"),
+            ("not json".to_string(), "invalid JSON"),
+            ("{}".to_string(), "version"),
+            (r#"{"version": 4, "entries": []}"#.to_string(), "version 4"),
+            (r#"{"version": 5}"#.to_string(), "entries"),
+            (r#"{"version": 5, "entries": [{}]}"#.to_string(), "missing"),
             (
-                r#"{"version": 2, "machine_fingerprint": "xyz", "entries": []}"#,
+                r#"{"version": 5, "machine_fingerprint": "xyz", "entries": []}"#.to_string(),
                 "machine fingerprint",
             ),
             (
                 // A non-string, non-null fingerprint is corruption, not
                 // "unstamped" — treating it as absent would silently keep
                 // winners from an unknown calibration.
-                r#"{"version": 2, "machine_fingerprint": true, "entries": []}"#,
+                r#"{"version": 5, "machine_fingerprint": true, "entries": []}"#.to_string(),
                 "hex string",
             ),
+            (fp32.replace("Fp32", "Fp16"), "unknown dtype"),
+            (fp32.replace("Sme", "Sve"), "unknown backend"),
+            (fp32.replace("RowMajor", "Diagonal"), "b_layout"),
+            (fp32.replace("Heterogeneous", "NoSuchPlan"), "plan kind"),
+            (fp32.replace("TwoStep", "Sideways"), "c_transfer"),
             (
-                // Version 3 requires the dtype tag.
-                r#"{"version": 3, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "backend": "Sme",
-                   "plan": "Heterogeneous", "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "dtype",
+                fp32.replace(r#""m": 8"#, r#""m": 0"#),
+                "invalid stored configuration",
             ),
             (
-                r#"{"version": 3, "entries": [{"dtype": "Fp16", "m": 8, "n": 8, "k": 8,
-                   "lda": 8, "ldb": 8, "ldc": 8, "b_layout": "RowMajor", "beta": "One",
-                   "backend": "Sme", "plan": "Heterogeneous", "c_transfer": "TwoStep",
-                   "k_unroll": 1, "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "unknown dtype",
-            ),
-            (
-                r#"{"version": 2, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "backend",
-            ),
-            (
-                r#"{"version": 2, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "backend": "Sve",
-                   "plan": "Heterogeneous", "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "unknown backend",
+                fp32.replace("RowMajor", "ColMajor"),
+                "incompatible with column-major",
             ),
             (
                 // A Neon winner for column-major B can never dispatch (the
                 // Neon generator is row-major-B only).
-                r#"{"version": 2, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "ColMajor", "beta": "One", "backend": "Neon",
-                   "plan": "ColumnPanels", "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                fp32.replace("RowMajor", "ColMajor")
+                    .replace("Sme", "Neon")
+                    .replace("Heterogeneous", "ColumnPanels"),
                 "Neon-compilable",
             ),
             (
-                // A bogus schedule tag is corruption, not serial.
-                r#"{"version": 4, "entries": [{"dtype": "Fp32", "m": 8, "n": 8, "k": 8,
-                   "lda": 8, "ldb": 8, "ldc": 8, "b_layout": "RowMajor", "beta": "One",
-                   "backend": "Sme", "plan": "Heterogeneous", "c_transfer": "TwoStep",
-                   "k_unroll": 1, "schedule": "Overlapped",
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "unknown schedule",
-            ),
-            (
                 // An odd k is off the widening envelope grid entirely.
-                r#"{"version": 3, "entries": [{"dtype": "WideningBf16", "m": 24, "n": 32,
-                   "k": 7, "backend": "Sme", "plan": "Homogeneous32x32",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                widening(24, 7, "Sme", "Homogeneous32x32"),
                 "invalid stored configuration",
             ),
             (
                 // The column-panel kind never drives the widening
                 // generator (the pre-packed operands have no column-major
                 // panels to transpose).
-                r#"{"version": 3, "entries": [{"dtype": "WideningBf16", "m": 32, "n": 32,
-                   "k": 8, "backend": "Sme", "plan": "ColumnPanels",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                widening(32, 8, "Sme", "ColumnPanels"),
                 "incompatible with the widening generator",
             ),
             (
                 // m = 12 is off even the widening envelope grid.
-                r#"{"version": 3, "entries": [{"dtype": "WideningBf16", "m": 12, "n": 32,
-                   "k": 8, "backend": "Neon", "plan": "Homogeneous32x32",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                widening(12, 8, "Neon", "Homogeneous32x32"),
                 "invalid stored configuration",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "Diagonal", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "b_layout",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "NoSuchPlan",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "plan kind",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 0, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "invalid stored configuration",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 3,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "k_unroll 3",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "ColMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "incompatible with column-major",
             ),
         ];
         for (text, needle) in cases {
-            match PlanStore::from_json(text) {
+            match PlanStore::from_json(&text) {
                 Err(PlanStoreError::Format(msg)) => {
                     assert!(msg.contains(needle), "{needle:?} not in {msg:?}")
                 }
                 other => panic!("expected Format error for {text:?}, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn version_one_documents_load_as_unstamped_sme() {
-        let v1 = r#"{"version": 1, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-            "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-            "plan": "Homogeneous16x64", "c_transfer": "Direct", "k_unroll": 2,
-            "tuned_cycles": 100, "default_cycles": 150}]}"#;
-        let store = PlanStore::from_json(v1).unwrap();
-        assert_eq!(store.machine_fingerprint(), None);
-        let rec = store.lookup(&GemmConfig::abt(48, 48, 16)).unwrap();
-        assert_eq!(rec.candidate.backend, Backend::Sme);
-        assert_eq!(
-            rec.candidate.kind,
-            PlanKind::Homogeneous(RegisterBlocking::B16x64)
-        );
     }
 
     #[test]

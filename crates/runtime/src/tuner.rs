@@ -5,9 +5,8 @@
 //! and transfer strategy varies with the problem shape, so a single default
 //! plan leaves performance behind. The tuner enumerates the candidates
 //! exposed by [`sme_gemm::enumerate_candidates`] — block-plan kinds ×
-//! ZA-transfer strategies × unroll factors × kernel schedules
-//! (serial or software-pipelined), **plus the Neon backend** for
-//! shapes its generator supports — generates each kernel, and scores it by
+//! ZA-transfer strategies, **plus the Neon backend** for shapes its
+//! generator supports — generates each kernel, and scores it by
 //! **simulated cycles** on the `sme-machine` timing model (one M4
 //! performance core). Because the candidate set always contains the
 //! default, the winner can never be slower than the untuned kernel in the
@@ -32,15 +31,9 @@ use sme_gemm::{
 pub struct TunerOptions {
     /// Also try the non-default ZA transfer strategy.
     pub sweep_transfer: bool,
-    /// Also try the non-default contraction-loop unroll factors.
-    pub sweep_k_unroll: bool,
     /// Also score the Neon backend candidate, so the winner picks the
     /// faster engine for the shape (on by default).
     pub sweep_backends: bool,
-    /// Also try the software-pipelined kernel schedule, which overlaps the
-    /// next block's first packed loads with the current block's ZA store
-    /// (on by default).
-    pub sweep_schedule: bool,
     /// Prune analytically dominated SME candidates before simulating (on by
     /// default; disable to force the exhaustive sweep, e.g. when validating
     /// the pre-filter itself).
@@ -52,9 +45,7 @@ impl Default for TunerOptions {
     fn default() -> Self {
         TunerOptions {
             sweep_transfer: true,
-            sweep_k_unroll: true,
             sweep_backends: true,
-            sweep_schedule: true,
             prefilter: true,
         }
     }
@@ -66,8 +57,6 @@ impl TunerOptions {
     pub fn quick() -> Self {
         TunerOptions {
             sweep_transfer: false,
-            sweep_k_unroll: false,
-            sweep_schedule: false,
             ..TunerOptions::default()
         }
     }
@@ -141,10 +130,7 @@ pub fn tune_any(cfg: &AnyGemmConfig, opts: &TunerOptions) -> Result<TuneOutcome,
     let enumerated: Vec<PlanCandidate> = enumerate_any_candidates(cfg)
         .into_iter()
         .filter(|c| {
-            c.backend != Backend::Sme
-                || ((opts.sweep_transfer || c.c_transfer == default.c_transfer)
-                    && (opts.sweep_k_unroll || c.k_unroll == default.k_unroll)
-                    && (opts.sweep_schedule || c.schedule == default.schedule))
+            c.backend != Backend::Sme || opts.sweep_transfer || c.c_transfer == default.c_transfer
         })
         .filter(|c| opts.sweep_backends || c.backend == default.backend)
         .collect();
@@ -250,7 +236,6 @@ mod tests {
         let quick = tune(&cfg, &TunerOptions::quick()).unwrap();
         // Plan kinds and backends only: the winner keeps the config's knobs.
         assert_eq!(quick.winner.c_transfer, cfg.c_transfer);
-        assert_eq!(quick.winner.k_unroll, cfg.k_unroll);
         let full = tune(&cfg, &TunerOptions::default()).unwrap();
         assert!(full.candidates_tried > quick.candidates_tried);
         assert!(full.tuned_cycles <= quick.tuned_cycles);
@@ -320,28 +305,6 @@ mod tests {
         };
         let outcome = tune(&tiny, &sme_only).unwrap();
         assert_eq!(outcome.winner.backend, Backend::Sme);
-    }
-
-    #[test]
-    fn pipelined_schedules_win_where_the_model_says_they_do() {
-        use sme_gemm::KernelSchedule;
-        // Multi-block shape: hoisting the next block's first packed loads
-        // above the ZA store removes an exposed RAW stall, so the pipelined
-        // twin scores strictly fewer simulated cycles and wins the argmin.
-        let cfg = GemmConfig::abt(64, 64, 64);
-        let outcome = tune(&cfg, &TunerOptions::default()).unwrap();
-        assert_eq!(outcome.winner.schedule, KernelSchedule::Pipelined);
-        assert!(outcome.tuned_cycles < outcome.default_cycles);
-
-        // Disabling the schedule sweep pins the tuner to the serial
-        // schedule, which can only do worse (or tie).
-        let serial_only = TunerOptions {
-            sweep_schedule: false,
-            ..TunerOptions::default()
-        };
-        let serial = tune(&cfg, &serial_only).unwrap();
-        assert_eq!(serial.winner.schedule, KernelSchedule::Serial);
-        assert!(outcome.tuned_cycles <= serial.tuned_cycles);
     }
 
     #[test]

@@ -4,17 +4,15 @@
 //! group retried on the fallback backend — exercised end-to-end across
 //! crate boundaries.
 //!
-//! The injector-driven test is the only one here that dispatches through
-//! `GemmService`; the fault rules target SME dispatch sites only, so the
-//! other tests' snapshot I/O never matches a rule even though the
-//! process-global injector is armed while they run.
+//! The injector-driven test arms only its own service's kernel cache, so
+//! the other tests' snapshot I/O and dispatches never see its faults.
 
 use std::sync::{Arc, Mutex};
 
 use sme_gemm::{Backend, GemmConfig};
 use sme_machine::MachineConfig;
 use sme_router::TelemetryRegistry;
-use sme_runtime::fault::{self, FaultKind, FaultPlan, FaultRule, SitePattern};
+use sme_runtime::fault::{FaultKind, FaultPlan, FaultRule, SitePattern};
 use sme_runtime::{GemmRequest, GemmService, PlanStore};
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
@@ -30,10 +28,10 @@ fn tear(path: &std::path::Path) {
     std::fs::write(path, &bytes[..bytes.len() / 2]).expect("tear snapshot");
 }
 
-const PLAN_DOC: &str = r#"{"version": 2, "entries": [{"m": 48, "n": 48, "k": 16,
-    "lda": 48, "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
+const PLAN_DOC: &str = r#"{"version": 5, "entries": [{"dtype": "Fp32", "m": 48, "n": 48,
+    "k": 16, "lda": 48, "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
     "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",
-    "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
+    "tuned_cycles": 100, "default_cycles": 150}]}"#;
 
 #[test]
 fn poisoned_lock_recovers_with_data_intact() {
@@ -127,9 +125,8 @@ fn panicking_group_degrades_to_fallback_without_dropping_the_batch() {
             occurrence: 1,
         }],
     ));
-    fault::install_injector(plan.clone());
-
     let service = GemmService::new(64);
+    service.cache().attach_faults(plan.clone());
     let sme_shape = GemmConfig::abt(64, 64, 32);
     let neon_shape = GemmConfig::abt(16, 4, 16);
     let requests: Vec<GemmRequest> = vec![
@@ -152,7 +149,6 @@ fn panicking_group_degrades_to_fallback_without_dropping_the_batch() {
     let report = service
         .dispatch_routed(&requests, route)
         .expect("batch dispatches");
-    fault::clear_injector();
 
     assert!(
         report.failures.is_empty(),
